@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .gf import FieldContext
 from .linalg import ParityMatrix
-from .rs import RsCode, LengthExceedsOrder, build_rs
+from .rs import RsCode, LengthExceedsOrder, build_rs, difference_weights
 
 FULLY_CORRECTED = "FullyCorrected"
 PARTIALLY_CORRECTED = "PartiallyCorrected"
@@ -224,7 +224,6 @@ class EiiCode:
         self.ctx = ctx
         self._row_codes: dict[int, RsCode] = {}
         self._parity_cells: list[tuple[int, int]] | None = None
-        self._parity_map: list[list[int]] | None = None
 
     @property
     def m(self) -> int:
@@ -413,8 +412,8 @@ class EiiCode:
         """Fill the tail parity layout around the data symbols.
 
         The parity cells form a pattern the triangulation always
-        resolves, so encoding is erasure decoding; the linear map from
-        data to parity is probed once and cached.
+        resolves, so encoding is one decode_rows of the data grid with
+        the parity cells erased.
         """
         data = list(data)
         k = self.dimension()
@@ -423,37 +422,15 @@ class EiiCode:
                                   % (k, len(data)))
         for v in data:
             self.ctx.check(v)
-        if self._parity_map is None:
-            self._parity_map = self._probe_parity_map()
-        ctx = self.ctx
-        parity = [0] * len(self.parity_cells())
-        for i, v in enumerate(data):
-            if v:
-                col = self._parity_map[i]
-                for p in range(len(parity)):
-                    if col[p]:
-                        parity[p] ^= ctx.mul(col[p], v)
         grid = SymbolGrid.zeros(self.m, self.n)
         for (r, c), v in zip(self.data_cells(), data):
             grid.cells[r][c] = v
-        for (r, c), v in zip(self.parity_cells(), parity):
-            grid.cells[r][c] = v
-        return grid
-
-    def _probe_parity_map(self) -> list[list[int]]:
-        cells = self.data_cells()
-        pcells = self.parity_cells()
-        cols = []
-        for i in range(len(cells)):
-            grid = SymbolGrid.zeros(self.m, self.n)
-            grid.cells[cells[i][0]][cells[i][1]] = 1
-            for (r, c) in pcells:
-                grid.erase(r, c)
-            report = self.decode_rows(grid)
-            if report.status != FULLY_CORRECTED:
-                raise AssertionError("tail layout failed to decode")
-            cols.append([report.grid.cells[r][c] for (r, c) in pcells])
-        return cols
+        for r, c in self.parity_cells():
+            grid.erase(r, c)
+        report = self.decode_rows(grid)
+        if report.status != FULLY_CORRECTED:
+            raise AssertionError("tail layout failed to decode")
+        return report.grid
 
     # -- smallest-support codewords -------------------------------------
 
@@ -481,12 +458,13 @@ class EiiCode:
         if cols[0] < 0 or cols[-1] >= self.n:
             raise ValueError("column index out of range")
 
-        col_word = _difference_null_vector(self.ctx, cols)
-        row_coef = _difference_null_vector(self.ctx, rows)
+        ctx = self.ctx
+        col_word = difference_weights(ctx, [ctx.alpha_pow(c) for c in cols])
+        row_coef = difference_weights(ctx, [ctx.alpha_pow(r) for r in rows])
         grid = SymbolGrid.zeros(self.m, self.n)
         for r, vr in zip(rows, row_coef):
             for c, vc in zip(cols, col_word):
-                grid.cells[r][c] = self.ctx.mul(vr, vc)
+                grid.cells[r][c] = ctx.mul(vr, vc)
         return grid
 
     # -- oracle support -------------------------------------------------
@@ -523,21 +501,3 @@ def build_eii(context: FieldContext, n: int, entries) -> EiiCode:
     """Convenience constructor mirroring build_rs: profile entries plus row length."""
     return EiiCode(Profile(entries, n), context)
 
-
-def _difference_null_vector(ctx: FieldContext, positions: list[int]) -> list[int]:
-    """Coefficients killing the first len-1 power sums of the locators.
-
-    With locators x_s = alpha**positions[s], the vector
-    v_s = 1 / prod_{l != s} (x_s + x_l) satisfies
-    sum_s v_s * x_s**r = 0 for r < len(positions)-1, with every entry
-    nonzero.
-    """
-    locs = [ctx.alpha_pow(p) for p in positions]
-    out = []
-    for s, xs in enumerate(locs):
-        prod = 1
-        for l, xl in enumerate(locs):
-            if l != s:
-                prod = ctx.mul(prod, xs ^ xl)
-        out.append(ctx.inv(prod))
-    return out

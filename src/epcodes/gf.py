@@ -127,10 +127,6 @@ class FieldContext:
 
     # -- construction helpers -------------------------------------------
 
-    def _mul_raw(self, a: int, b: int) -> int:
-        """Multiply without tables: carry-less product reduced by the modulus."""
-        return p2.mod(p2.mul(a, b), self.modulus)
-
     def _build_tables(self) -> None:
         size = self.size
         if size == 2:
@@ -166,7 +162,7 @@ class FieldContext:
         v = a
         k = 1
         while v != 1:
-            v = self._mul_raw(v, a)
+            v = p2.mulmod(v, a, self.modulus)
             k += 1
             if k > self.size:
                 raise AssertionError("order loop escaped the group")

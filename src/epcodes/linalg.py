@@ -28,13 +28,13 @@ class ParityMatrix:
         if len(word) != self.num_cols:
             raise ValueError("word length %d != %d columns"
                              % (len(word), self.num_cols))
-        ctx = self.ctx
+        mul = self.ctx.mul
+        live = [(c, w) for c, w in enumerate(word) if w]
         out = []
         for row in self.rows:
             acc = 0
-            for c, w in zip(row, word):
-                if c and w:
-                    acc ^= ctx.mul(c, w)
+            for c, w in live:
+                acc ^= mul(row[c], w)
             out.append(acc)
         return out
 
@@ -65,32 +65,6 @@ class ParityMatrix:
                 cols.append(slots)
             self._packed = cols
         return self._packed
-
-    def pattern_full_rank(self, pattern: list[int]) -> bool:
-        """True when the selected columns are linearly independent."""
-        packed = self.packed_columns()
-        piv: dict[int, int] = {}
-        for j in pattern:
-            group = packed[j]
-            first = _reduce(group[0], piv)
-            if first == 0:
-                return False
-            piv[first.bit_length() - 1] = first
-            for v in group[1:]:
-                v = _reduce(v, piv)
-                if v:
-                    piv[v.bit_length() - 1] = v
-        return True
-
-
-def _reduce(v: int, piv: dict[int, int]) -> int:
-    while v:
-        h = v.bit_length() - 1
-        row = piv.get(h)
-        if row is None:
-            return v
-        v ^= row
-    return 0
 
 
 def rref(ctx: FieldContext, rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:

@@ -14,7 +14,9 @@ from __future__ import annotations
 from itertools import combinations
 
 from .gf import FieldContext
-from .linalg import ParityMatrix, solve_unique
+from .linalg import ParityMatrix
+# not called here; bench/tracing.py wraps rs.solve_unique at this site
+from .linalg import solve_unique  # noqa: F401
 
 
 class LengthExceedsOrder(ValueError):
@@ -58,15 +60,8 @@ class RsCode:
     def syndromes(self, word: list[int]) -> list[int]:
         if len(word) != self.n:
             raise ValueError("word length %d != n=%d" % (len(word), self.n))
-        ctx = self.ctx
-        out = []
-        for r in range(self.u):
-            acc = 0
-            for j, w in enumerate(word):
-                if w:
-                    acc ^= ctx.mul(ctx.alpha_pow(r * j), w)
-            out.append(acc)
-        return out
+        # with no rows the matrix has no columns to check a word against
+        return self.parity_check().syndrome(word) if self.u else []
 
     def contains(self, word: list[int]) -> bool:
         return not any(self.syndromes(word))
@@ -76,9 +71,15 @@ class RsCode:
     def erasure_decode(self, word: list[int], erasures: list[int]) -> list[int] | None:
         """Fill the erased positions, or None.
 
-        Solves the u x e system restricted to the erased columns by
-        Gaussian elimination.  None when e > u or when the non-erased
-        part is inconsistent with every codeword.
+        Closed-form Vandermonde solve (Forney's erasure values).  With
+        locators X_i = alpha**j_i of the e erased positions and syndromes
+        S_r of the word with those cells zeroed, the first e checks give
+
+            x_i = sum_{r<e} q_{i,r} S_r / prod_{l != i} (X_i + X_l),
+
+        where q_i(z) = P(z) / (z + X_i) and P(z) = prod_l (z + X_l).  The
+        remaining u - e checks must then hold as well.  None when e > u
+        or when the non-erased part is inconsistent with every codeword.
         """
         e = sorted(set(erasures))
         if len(e) > self.u:
@@ -86,15 +87,31 @@ class RsCode:
         y = list(word)
         for j in e:
             y[j] = 0
-        if not e:
-            return y if self.contains(y) else None
-        ctx = self.ctx
         syn = self.syndromes(y)
-        cols = [[ctx.alpha_pow(r * j) for j in e] for r in range(self.u)]
-        x = solve_unique(ctx, cols, syn)
-        if x is None:
-            return None
-        for j, v in zip(e, x):
+        if not any(syn):
+            return y
+        mul = self.ctx.mul
+        locs = [self._loc[j] for j in e]
+        poly = [1]
+        for x in locs:
+            poly = [a ^ mul(x, b) for a, b in zip([0] + poly, poly + [0])]
+        vals = []
+        for x, w in zip(locs, difference_weights(self.ctx, locs)):
+            # synthetic division of P by (z + x), highest coefficient first
+            q = 1
+            num = syn[len(e) - 1]
+            for r in range(len(e) - 2, -1, -1):
+                q = poly[r + 1] ^ mul(x, q)
+                num ^= mul(q, syn[r])
+            vals.append(mul(num, w))
+        rows = self.parity_check().rows
+        for r in range(len(e), self.u):
+            acc = syn[r]
+            for j, v in zip(e, vals):
+                acc ^= mul(rows[r][j], v)
+            if acc:
+                return None
+        for j, v in zip(e, vals):
             y[j] = v
         return y
 
@@ -196,6 +213,24 @@ class RsCode:
 
 def build_rs(ctx: FieldContext, n: int, u: int) -> RsCode:
     return RsCode(ctx, n, u)
+
+
+def difference_weights(ctx: FieldContext, locs: list[int]) -> list[int]:
+    """w_s = 1 / prod_{l != s} (x_s + x_l) for distinct locators x_s.
+
+    These are the denominators of the closed-form Vandermonde solve, and
+    the vector they form kills the first len-1 power sums of the
+    locators: sum_s w_s * x_s**r = 0 for r < len(locs) - 1, with every
+    entry nonzero.
+    """
+    out = []
+    for s, xs in enumerate(locs):
+        prod = 1
+        for l, xl in enumerate(locs):
+            if l != s:
+                prod = ctx.mul(prod, xs ^ xl)
+        out.append(ctx.inv(prod))
+    return out
 
 
 # -- small polynomial helpers (coefficient lists, index == power) --------

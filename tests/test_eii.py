@@ -19,7 +19,10 @@ from epcodes.eii import (
     make_profile,
     row_correctable,
 )
-from epcodes.gf import default_field
+from epcodes import linalg
+from epcodes.epc import matrix_erasure_decode
+from epcodes.gf import build_aop_field, build_field, default_field
+from epcodes.layout import encode_balanced, iterative_decode
 from epcodes.rs import LengthExceedsOrder
 
 GF8 = default_field(3)
@@ -269,3 +272,56 @@ def test_assembled_matrix_annihilates_codewords():
     flat[3] ^= 5
     assert any(H.syndrome(flat))
     assert H.rank() == 20 - code.dimension()
+
+
+# -- tail encode by one decode ---------------------------------------------
+
+@pytest.mark.parametrize("ctx,n,entries", [
+    (GF8, 7, (1, 1, 3, 4, 7, 7)),
+    (GF8, 6, (0, 2, 2, 5)),
+    (build_aop_field(5), 5, (1, 2, 2, 3)),
+    (build_field(3, 0b1101, "polynomial"), 7, (1, 2, 3, 6, 6)),
+])
+def test_encode_matches_matrix_erasure_ground_truth(ctx, n, entries):
+    code = build_eii(ctx, n, entries)
+    H = code.assembled_parity_matrix()
+    parity = set(code.parity_cells())
+    rng = random.Random(31)
+    for _ in range(3):
+        data = [rng.randrange(ctx.size) for _ in range(code.dimension())]
+        grid = code.encode(data)
+        word = [None if (r, c) in parity else grid.cells[r][c]
+                for r in range(code.m) for c in range(n)]
+        assert matrix_erasure_decode(H, word) == [
+            v for row in grid.cells for v in row]
+
+
+@pytest.mark.parametrize("degree,n,entries,block,row_status", [
+    # 2 rows of 9 erasures: rows alone fail, one column pass clears them
+    (8, 32, (4,) * 14 + (8, 32), (2, 8), "Failed"),
+    # 3 rows of 5 erasures: cleared by the combination system
+    (4, 8, (2, 3, 3, 4, 4, 5, 5, 6), (3, 4), "FullyCorrected"),
+])
+def test_cold_codec_runs_no_elimination(monkeypatch, degree, n, entries, block,
+                                        row_status):
+    def no_rref(*args):
+        raise AssertionError("Gaussian elimination on a codec path")
+
+    monkeypatch.setattr(linalg, "rref", no_rref)
+    code = build_eii(default_field(degree), n, entries)
+    rng = random.Random(41)
+    data = [rng.randrange(1 << degree) for _ in range(code.dimension())]
+    grid = code.encode(data)
+    assert code.is_codeword(grid)
+    assert code.is_codeword(encode_balanced(code, data))
+
+    rows, cols = block
+    damaged = grid.copy()
+    for r in range(rows):
+        for c in list(range(cols)) + [cols + r]:
+            damaged.erase(r, c)
+            damaged.cells[r][c] = 0
+    assert code.decode_rows(damaged).status == row_status
+    report = iterative_decode(code, damaged)
+    assert report.status == "FullyCorrected"
+    assert report.grid == grid

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 
 from epcodes.gf import build_aop_field, default_field
+from epcodes.linalg import solve_unique
 from epcodes.rs import LengthExceedsOrder, RsCode, build_rs
 
 
@@ -134,3 +136,76 @@ def test_beyond_capability_is_none_or_some_codeword():
         got = code.error_erasure_decode(battered, [])
         if got is not None:
             assert code.contains(got[0])
+
+
+# -- closed-form erasure fill against elimination --------------------------
+
+def _eliminated_fill(code: RsCode, word: list[int], erasures) -> list[int] | None:
+    """The erasure fill by Gaussian elimination of the u x e alpha-power
+    system, with syndromes computed straight from the definition."""
+    ctx = code.ctx
+    e = sorted(set(erasures))
+    if len(e) > code.u:
+        return None
+    y = list(word)
+    for j in e:
+        y[j] = 0
+    syn = []
+    for r in range(code.u):
+        acc = 0
+        for j, v in enumerate(y):
+            acc ^= ctx.mul(ctx.alpha_pow(r * j), v)
+        syn.append(acc)
+    if not e:
+        return None if any(syn) else y
+    cols = [[ctx.alpha_pow(r * j) for j in e] for r in range(code.u)]
+    x = solve_unique(ctx, cols, syn)
+    if x is None:
+        return None
+    for j, v in zip(e, x):
+        y[j] = v
+    return y
+
+
+def _fill_agrees(code: RsCode, spots, rng: random.Random) -> list[bool]:
+    """Compare both fills on a consistent and an inconsistent word;
+    returns which of the two the reference filled."""
+    n = code.n
+    noise = [rng.randrange(code.ctx.size) for _ in range(n)]
+    tail = list(range(n - code.u, n))
+    codeword = _eliminated_fill(code, noise, tail)
+    filled = []
+    for base in (codeword, noise):
+        word = list(base)
+        for j in spots:
+            word[j] = rng.randrange(code.ctx.size)  # junk under the erasures
+        want = _eliminated_fill(code, word, spots)
+        assert code.erasure_decode(word, list(spots)) == want, (code.u, spots)
+        filled.append(want is not None)
+    return filled
+
+
+def test_erasure_fill_matches_elimination_on_every_gf8_pattern():
+    rng = random.Random(21)
+    outcomes = set()
+    for u in range(8):
+        code = build_rs(default_field(3), 7, u)
+        for e in range(u + 1):
+            for spots in combinations(range(7), e):
+                consistent, other = _fill_agrees(code, spots, rng)
+                assert consistent
+                outcomes.add(other)
+    assert outcomes == {True, False}
+
+
+def test_erasure_fill_matches_elimination_on_sampled_gf16_patterns():
+    rng = random.Random(22)
+    outcomes = set()
+    for u in (1, 2, 4, 6, 9, 14, 15):
+        code = build_rs(default_field(4), 15, u)
+        for _ in range(60):
+            spots = rng.sample(range(15), rng.randrange(u + 1))
+            consistent, other = _fill_agrees(code, spots, rng)
+            assert consistent
+            outcomes.add(other)
+    assert outcomes == {True, False}
