@@ -138,6 +138,15 @@ def grid_to_json(grid: SymbolGrid, ctx: FieldContext) -> dict:
             "cells": cells}
 
 
+def _symbol(val) -> int:
+    """A symbol written as a hex string or a JSON integer."""
+    try:
+        return int(val, 16) if isinstance(val, str) else int(val)
+    except (TypeError, ValueError):
+        raise CliError("bad symbol %r (want a hex string or an integer)"
+                       % (val,)) from None
+
+
 def grid_from_json(doc: dict) -> tuple[SymbolGrid, FieldContext]:
     try:
         ctx = build_field(int(doc["field"]["degree"]),
@@ -146,7 +155,8 @@ def grid_from_json(doc: dict) -> tuple[SymbolGrid, FieldContext]:
         raw = doc["cells"]
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError("malformed grid file: %s" % (exc,)) from None
-    if len(raw) != m or any(len(row) != n for row in raw):
+    if not isinstance(raw, list) or len(raw) != m or any(
+            not isinstance(row, list) or len(row) != n for row in raw):
         raise CliError("grid file cells do not match shape %dx%d" % (m, n))
     cells = [[0] * n for _ in range(m)]
     mask = [[False] * n for _ in range(m)]
@@ -155,9 +165,7 @@ def grid_from_json(doc: dict) -> tuple[SymbolGrid, FieldContext]:
             if val is None:
                 mask[r][c] = True
                 continue
-            sym = int(val, 16) if isinstance(val, str) else int(val)
-            ctx.check(sym)
-            cells[r][c] = sym
+            cells[r][c] = ctx.check(_symbol(val))
     return SymbolGrid(cells, mask), ctx
 
 
@@ -203,7 +211,7 @@ def cmd_encode(args) -> int:
     doc = _load(args.data)
     if not isinstance(doc, list):
         raise CliError("data file must hold a JSON list of symbols")
-    data = [int(v, 16) if isinstance(v, str) else int(v) for v in doc]
+    data = [_symbol(v) for v in doc]
     if args.layout == BALANCED:
         grid = encode_balanced(code, data)
     else:

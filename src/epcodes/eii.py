@@ -9,9 +9,11 @@ alpha-weighted row combinations
     sum_j alpha**(r*j) * row_j,    r = 0 .. shat_i - 1,
 
 land in the i-th nested row code, where shat_i counts the rows with
-budget at least the i-th distinct level.  Erasure decoding triangulates
-that combination system so each unresolved row is isolated against fully
-known rows and corrected in the deepest code its combination belongs to.
+budget at least the i-th distinct level.  Erasure decoding isolates
+each unresolved row in closed form: weighting row j by Q(alpha**j), where
+Q(z) multiplies (z + alpha**i) over the other unresolved rows, cancels
+them, and the row is corrected in the deepest code that weighted sum
+belongs to.
 """
 
 from __future__ import annotations
@@ -192,7 +194,7 @@ class DecodeReport:
 
 
 def row_correctable(profile: Profile, counts) -> tuple[bool, set]:
-    """Which rows survive triangulation for the given erasure counts.
+    """Which rows decode_rows recovers for the given erasure counts.
 
     Counts are sorted ascending and matched against the profile entries
     position by position; the rows behind the first position where the
@@ -224,6 +226,7 @@ class EiiCode:
         self.ctx = ctx
         self._row_codes: dict[int, RsCode] = {}
         self._parity_cells: list[tuple[int, int]] | None = None
+        self._transposed: EiiCode | None = None  # see layout.transpose_code
 
     @property
     def m(self) -> int:
@@ -256,34 +259,60 @@ class EiiCode:
         c0 = self.row_code(0)
         if not all(c0.contains(row) for row in grid.cells):
             return False
+        ctx = self.ctx
         for i in range(1, self.profile.t + 1):
             code = self.row_code(i)
             for r in range(self.profile.suffix_at(i)):
-                combo = self._combo(grid.cells, r)
-                if not code.contains(combo):
+                weights = [ctx.alpha_pow(r * j) for j in range(self.m)]
+                if not code.contains(self._combo(grid.cells, weights)):
                     return False
         return True
 
-    def _combo(self, cells, r: int) -> list[int]:
-        ctx = self.ctx
+    def _combo(self, cells, weights) -> list[int]:
+        """sum_j weights[j] * cells[j]; rows of weight zero are skipped."""
+        mul = self.ctx.mul
         out = [0] * self.n
-        for j, row in enumerate(cells):
-            coef = ctx.alpha_pow(r * j)
-            for c, v in enumerate(row):
-                if v:
-                    out[c] ^= ctx.mul(coef, v)
+        for w, row in zip(weights, cells):
+            if w:
+                for c, v in enumerate(row):
+                    if v:
+                        out[c] ^= mul(w, v)
         return out
+
+    def isolated_combination(self, cells, target: int, pending) -> list[int]:
+        """Known part of the combination that isolates row `target`.
+
+        Among the first len(pending) + 1 combinations, exactly one cancels
+        every row in `pending` and weighs `target` with 1: its weight on
+        row j is Q(alpha**j) / Q(alpha**target), Q(z) = prod over pending
+        of (z + alpha**i), and it lies in row_code(combo_level(len(pending))).
+        Returns its sum over the rows outside pending and target, so the
+        cells of those rows must be known; pending rows may hold anything.
+        """
+        ctx = self.ctx
+        mul = ctx.mul
+        locs = [ctx.alpha_pow(j) for j in range(self.m)]
+        weights = []
+        for x in locs:
+            q = 1
+            for i in pending:
+                q = mul(q, x ^ locs[i])
+            weights.append(q)
+        scale = ctx.inv(weights[target])
+        weights[target] = 0
+        return self._combo(cells, [mul(scale, w) for w in weights])
 
     # -- erasure decoding -----------------------------------------------
 
     def decode_rows(self, grid: SymbolGrid) -> DecodeReport:
-        """One pass of per-row correction plus triangulation.
+        """One pass of per-row correction plus isolated combinations.
 
         Rows within the outermost budget are corrected directly.  The
-        rest enter the combination system, most-erased first; rows are
-        then recovered least-erased first until one overshoots the
-        budget of the code its combination sits in, which by the sorted
-        matching of row_correctable is exactly where correction stops.
+        rest are ordered most-erased first and recovered least-erased
+        first, each isolated against the rows still ahead of it, until
+        one overshoots the budget of the code its combination sits in,
+        which by the sorted matching of row_correctable is exactly where
+        correction stops.
         """
         g = grid.copy()
         before = g.erasure_count()
@@ -291,7 +320,6 @@ class EiiCode:
             return DecodeReport(g, FULLY_CORRECTED, frozenset(), (), 0)
 
         prof = self.profile
-        ctx = self.ctx
         u0 = prof.levels[0]
         corrected: set[int] = set()
         failed: list[int] = []
@@ -311,10 +339,26 @@ class EiiCode:
             else:
                 failed.append(r)
 
-        if failed:
-            order = sorted(failed, key=lambda r: (-counts[r], r))
-            fixed_rows = self._triangulate(g, order)
-            corrected |= fixed_rows
+        # the rest go last first: order[p] is isolated against order[:p],
+        # and that combination lies in the code at combo_level(p)
+        order = sorted(failed, key=lambda r: (-counts[r], r))
+        for p in range(len(order) - 1, -1, -1):
+            row = order[p]
+            erased = g.erased_in_row(row)
+            w = prof.combo_level(p)
+            if len(erased) > prof.levels[w]:
+                break
+            known = self.isolated_combination(g.cells, row, order[:p])
+            word = [k ^ (0 if lost else v)
+                    for k, v, lost in zip(known, g.cells[row], g.mask[row])]
+            dec = self.row_code(w).erasure_decode(word, erased)
+            if dec is None:
+                break
+            # at erased cells, word held only the known contribution
+            for c in erased:
+                g.cells[row][c] = dec[c] ^ known[c]
+                g.mask[row][c] = False
+            corrected.add(row)
 
         residual = tuple(g.erasure_coords())
         if not residual:
@@ -325,75 +369,6 @@ class EiiCode:
             status = FAILED
         passes = 1 if g.erasure_count() < before else 0
         return DecodeReport(g, status, frozenset(corrected), residual, passes)
-
-    def _triangulate(self, g: SymbolGrid, order: list[int]) -> set[int]:
-        """Recover the rows in `order` (most-erased first) in place.
-
-        Returns the set of rows actually corrected.  Combination r of
-        the system lies in the code at combo_level(r); eliminating
-        earlier combinations into later ones keeps each membership,
-        since earlier ones sit in deeper codes.
-        """
-        ctx = self.ctx
-        prof = self.profile
-        l = len(order)
-        unknown = set(order)
-        # combination coefficients over the unknown rows, plus the fully
-        # known contribution of every other row
-        mat = [[ctx.alpha_pow(r * j) for j in order] for r in range(l)]
-        rest = []
-        for r in range(l):
-            acc = [0] * self.n
-            for j in range(self.m):
-                if j in unknown:
-                    continue
-                coef = ctx.alpha_pow(r * j)
-                row = g.cells[j]
-                for c in range(self.n):
-                    if row[c]:
-                        acc[c] ^= ctx.mul(coef, row[c])
-            rest.append(acc)
-
-        for p in range(l):
-            inv = ctx.inv(mat[p][p])
-            if inv != 1:
-                mat[p] = [ctx.mul(inv, v) for v in mat[p]]
-                rest[p] = [ctx.mul(inv, v) for v in rest[p]]
-            for r in range(p + 1, l):
-                f = mat[r][p]
-                if f == 0:
-                    continue
-                mat[r] = [a ^ ctx.mul(f, b) for a, b in zip(mat[r], mat[p])]
-                rest[r] = [a ^ ctx.mul(f, b) for a, b in zip(rest[r], rest[p])]
-
-        fixed: set[int] = set()
-        for p in range(l - 1, -1, -1):
-            row = order[p]
-            erased = g.erased_in_row(row)
-            w = prof.combo_level(p)
-            if len(erased) > prof.levels[w]:
-                break
-            word = list(rest[p])
-            for c in range(self.n):
-                if not g.mask[row][c]:
-                    word[c] ^= g.cells[row][c]
-            for p2 in range(p + 1, l):
-                f = mat[p][p2]
-                if f == 0:
-                    continue
-                lower = g.cells[order[p2]]
-                for c in range(self.n):
-                    if lower[c]:
-                        word[c] ^= ctx.mul(f, lower[c])
-            dec = self.row_code(w).erasure_decode(word, erased)
-            if dec is None:
-                break
-            # at erased cells, word held only the known contribution
-            for c in erased:
-                g.cells[row][c] = dec[c] ^ word[c]
-                g.mask[row][c] = False
-            fixed.add(row)
-        return fixed
 
     # -- encoding -------------------------------------------------------
 
@@ -411,9 +386,9 @@ class EiiCode:
     def encode(self, data) -> SymbolGrid:
         """Fill the tail parity layout around the data symbols.
 
-        The parity cells form a pattern the triangulation always
-        resolves, so encoding is one decode_rows of the data grid with
-        the parity cells erased.
+        The parity cells form a pattern decode_rows always resolves, so
+        encoding is one decode_rows of the data grid with the parity
+        cells erased.
         """
         data = list(data)
         k = self.dimension()

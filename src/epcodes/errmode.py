@@ -4,14 +4,14 @@ Erasure positions are flagged by the mask; any unmasked cell may
 additionally be wrong.  Each row is first tried on its own in the
 outermost row code, which fixes i errors plus j erasures whenever
 2i + j fits inside the row budget.  Rows that resist are peeled off
-one at a time: the combination system is triangulated so that the last
-unresolved row stands alone against fully known rows, and that single
-combination is decoded in the deepest nested code its index permits.
-When the isolated row carries too much damage, the ordering is rotated
-(last row to the front) and the triangulation repeated, so every
-unresolved row gets a turn in the isolated slot before the level gives
-up.  A failed row stage is retried once on the transposed grid under
-the column code.
+one at a time: EiiCode.isolated_combination weights the rows so that
+every other unresolved row cancels and the last one stands alone
+against fully known rows, and that single combination is decoded in
+the deepest nested code its size permits.  When the isolated row
+carries too much damage, the ordering is rotated (last row to the
+front) and the next row isolated instead, so every unresolved row gets
+a turn in the isolated slot before the level gives up.  A failed row
+stage is retried once on the transposed grid under the column code.
 
 Miscorrection is assumed absent: a component decode that returns a
 word is trusted.  A final membership check guards the Corrected status
@@ -118,7 +118,7 @@ def _peel(code: EiiCode, work: SymbolGrid, order: list, outcomes: list):
         resolved = False
         for attempt in range(len(order)):
             target = order[-1]
-            known = _isolated_combination(code, work, order)
+            known = code.isolated_combination(work.cells, target, order[:-1])
             erased = work.erased_in_row(target)
             word = [known[c] ^ (0 if work.mask[target][c]
                                 else work.cells[target][c])
@@ -138,41 +138,3 @@ def _peel(code: EiiCode, work: SymbolGrid, order: list, outcomes: list):
             return False, rotations
     return True, rotations
 
-
-def _isolated_combination(code: EiiCode, work: SymbolGrid, order: list):
-    """Known-row contribution to the combination isolating order[-1].
-
-    Forward elimination on the alpha-power system over the unresolved
-    rows, with the known rows' combinations carried along, leaves a
-    last equation of the form  row + known-combination  in a nested
-    code; the returned vector is that known combination.
-    """
-    ctx = code.ctx
-    n = code.profile.n
-    ell = len(order)
-    unresolved = set(order)
-    mat = [[ctx.alpha_pow(r * j) for j in order] for r in range(ell)]
-    rest = []
-    for r in range(ell):
-        acc = [0] * n
-        for j in range(code.profile.m):
-            if j in unresolved:
-                continue
-            coef = ctx.alpha_pow(r * j)
-            row = work.cells[j]
-            for c in range(n):
-                if row[c]:
-                    acc[c] ^= ctx.mul(coef, row[c])
-        rest.append(acc)
-    for p in range(ell):
-        inv = ctx.inv(mat[p][p])
-        if inv != 1:
-            mat[p] = [ctx.mul(inv, x) for x in mat[p]]
-            rest[p] = [ctx.mul(inv, x) for x in rest[p]]
-        for r in range(p + 1, ell):
-            f = mat[r][p]
-            if not f:
-                continue
-            mat[r] = [a ^ ctx.mul(f, b) for a, b in zip(mat[r], mat[p])]
-            rest[r] = [a ^ ctx.mul(f, b) for a, b in zip(rest[r], rest[p])]
-    return rest[ell - 1]

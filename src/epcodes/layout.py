@@ -48,7 +48,10 @@ def transpose_grid(grid: SymbolGrid) -> SymbolGrid:
 
 
 def transpose_code(code: EiiCode) -> EiiCode:
-    return EiiCode(transpose_profile(code.profile), code.ctx)
+    """The column code of `code`, built on the first call and kept on it."""
+    if code._transposed is None:
+        code._transposed = EiiCode(transpose_profile(code.profile), code.ctx)
+    return code._transposed
 
 
 def iterative_decode(code: EiiCode, grid: SymbolGrid, max_passes: int = 0) -> DecodeReport:

@@ -11,8 +11,6 @@ subcode.  Decoding failures are returned as None, never raised.
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from .gf import FieldContext
 from .linalg import ParityMatrix
 # not called here; bench/tracing.py wraps rs.solve_unique at this site
@@ -121,39 +119,18 @@ class RsCode:
                              erasures: list[int]) -> tuple[list[int], int] | None:
         """Correct i errors plus the erasures when 2i + e <= u.
 
-        Returns (codeword, error_count) or None.  Small codes go through
-        an exhaustive error-support search; larger ones through the
-        syndrome path (erasure locator, then the Euclidean recursion and
-        the derivative formula for values).  Beyond capability the result
-        is None unless some codeword happens to sit within capability of
-        the received word, in which case it is returned in good faith.
+        Returns (codeword, error_count) or None.  The syndromes of the
+        word with the erasures zeroed go through the erasure locator, the
+        Euclidean recursion and the derivative formula for values.  The
+        result is the codeword within capability of the received word
+        when there is one, and None otherwise: beyond capability a
+        codeword is returned only if one happens to sit that close.
         """
         e = sorted(set(erasures))
-        if len(e) > self.u:
-            return None
-        if self.u <= 4:
-            return self._search_decode(word, e)
-        return self._syndrome_decode(word, e)
-
-    def _search_decode(self, word: list[int], e: list[int]) -> tuple[list[int], int] | None:
-        others = [j for j in range(self.n) if j not in set(e)]
-        for i in range((self.u - len(e)) // 2 + 1):
-            found: dict[tuple[int, ...], int] = {}
-            for support in combinations(others, i):
-                cand = self.erasure_decode(word, e + list(support))
-                if cand is not None:
-                    changed = sum(1 for j in support if cand[j] != word[j])
-                    found.setdefault(tuple(cand), changed)
-            if len(found) > 1:
-                return None
-            if found:
-                (cand_t, changed), = found.items()
-                return list(cand_t), changed
-        return None
-
-    def _syndrome_decode(self, word: list[int], e: list[int]) -> tuple[list[int], int] | None:
-        ctx = self.ctx
         u = self.u
+        if len(e) > u:
+            return None
+        ctx = self.ctx
         y = list(word)
         for j in e:
             y[j] = 0

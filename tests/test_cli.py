@@ -205,3 +205,28 @@ def test_simulate_lrc_model_needs_shape(capsys):
     code, _, err = run(capsys, "simulate", "--lrc", "5,1,3",
                        "--trials", "10")
     assert code == 2
+
+
+@pytest.mark.parametrize("m,n,cells", [
+    (4, 5, 5),              # cells is not a list of rows
+    (1, 5, [7]),            # a row is not a list
+    (1, 1, [[[1]]]),        # a cell is neither hex nor an integer
+])
+def test_malformed_grid_cells_are_usage_errors(tmp_path, capsys, m, n, cells):
+    grid_file = tmp_path / "grid.json"
+    grid_file.write_text(json.dumps(
+        {"m": m, "n": n, "field": {"degree": 3, "modulus": "b"},
+         "cells": cells}))
+    code, _, err = run(capsys, "decode", str(grid_file),
+                       "--code", "C(5,[1,1,2,5])")
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_null_data_symbol_is_a_usage_error(tmp_path, capsys):
+    data_file = tmp_path / "data.json"
+    data_file.write_text(json.dumps([1, None, 3] + [0] * 8))
+    code, _, err = run(capsys, "encode", "--code", "C(5,[1,1,2,5])",
+                       "--data", str(data_file))
+    assert code == 2
+    assert "bad symbol None" in err

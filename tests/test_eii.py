@@ -1,4 +1,4 @@
-"""Array code behavior: profiles, grids, membership, triangulation decode."""
+"""Array code behavior: profiles, grids, membership, isolated-row decode."""
 
 from __future__ import annotations
 
@@ -325,3 +325,81 @@ def test_cold_codec_runs_no_elimination(monkeypatch, degree, n, entries, block,
     report = iterative_decode(code, damaged)
     assert report.status == "FullyCorrected"
     assert report.grid == grid
+
+
+# -- the isolated combination against ground truth -------------------------
+
+KERNEL_PROFILES = [
+    (GF8, 7, (1, 1, 3, 4, 7, 7)),
+    (GF8, 5, (1, 1, 2, 5)),
+    (default_field(4), 8, (2, 3, 3, 4, 4, 5, 5, 6)),
+    (build_aop_field(5), 5, (1, 2, 2, 3)),
+    (build_field(3, 0b1101, "polynomial"), 7, (1, 2, 3, 6, 6)),
+]
+
+
+def _combination_by_elimination(code, cells, target, pending):
+    """The same known part, with the coefficients of the first
+    len(pending) + 1 combinations found by linalg.solve_unique."""
+    ctx = code.ctx
+    eqs = list(pending) + [target]
+    coef = linalg.solve_unique(
+        ctx, [[ctx.alpha_pow(r * i) for r in range(len(eqs))] for i in eqs],
+        [0] * len(pending) + [1])
+    out = [0] * code.n
+    for j in range(code.m):
+        if j in eqs:
+            continue
+        w = 0
+        for r, a in enumerate(coef):
+            w ^= ctx.mul(a, ctx.alpha_pow(r * j))
+        for c in range(code.n):
+            out[c] ^= ctx.mul(w, cells[j][c])
+    return out
+
+
+@pytest.mark.parametrize("ctx,n,entries", KERNEL_PROFILES)
+def test_isolated_combination_lands_in_its_nested_code(ctx, n, entries):
+    code = build_eii(ctx, n, entries)
+    prof = code.profile
+    rng = random.Random(71)
+    for _ in range(12):
+        grid = random_grid_codeword(code, rng)
+        rows = list(range(code.m))
+        rng.shuffle(rows)
+        target, pending = rows[0], rows[1:1 + rng.randrange(code.m)]
+        known = code.isolated_combination(grid.cells, target, pending)
+        assert known == _combination_by_elimination(code, grid.cells,
+                                                    target, pending)
+        word = [k ^ v for k, v in zip(known, grid.cells[target])]
+        assert code.row_code(prof.combo_level(len(pending))).contains(word)
+        junk = grid.copy()
+        for r in pending:
+            junk.cells[r] = [rng.randrange(ctx.size) for _ in range(n)]
+        assert code.isolated_combination(junk.cells, target, pending) == known
+
+
+@pytest.mark.parametrize("ctx,n,entries", KERNEL_PROFILES)
+def test_full_corrections_match_matrix_ground_truth(ctx, n, entries):
+    code = build_eii(ctx, n, entries)
+    H = code.assembled_parity_matrix()
+    rng = random.Random(72)
+    full = 0
+    for _ in range(15):
+        grid = random_grid_codeword(code, rng)
+        damaged = grid.copy()
+        every = [(r, c) for r in range(code.m) for c in range(n)]
+        for r, c in rng.sample(every, rng.randrange(len(every) // 2 + 1)):
+            damaged.erase(r, c)
+            damaged.cells[r][c] = rng.randrange(ctx.size)
+        flat = [v for row in grid.cells for v in row]
+        word = [None if damaged.mask[r][c] else damaged.cells[r][c]
+                for r in range(code.m) for c in range(n)]
+        truth = matrix_erasure_decode(H, word)
+        for report in (code.decode_rows(damaged),
+                       iterative_decode(code, damaged)):
+            if report.status == "FullyCorrected":
+                full += 1
+                assert report.grid.cells == grid.cells
+                assert truth == flat
+    assert full

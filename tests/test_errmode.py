@@ -171,3 +171,19 @@ def test_report_is_frozen_and_input_preserved():
     assert report.status == CORRECTED
     assert grid.erasure_count() == 2
     assert report.grid.is_clean()
+
+
+def test_rotated_peel_still_returns_the_codeword():
+    # both rows fail the budget-3 row code; row 1 is isolated first but
+    # its 3 errors overload the budget-4 code, so the order rotates and
+    # row 0 (2 errors) goes first, leaving row 1 for the budget-7 code
+    code = build_eii(GF8, 7, (3, 3, 4, 7))
+    reference = encoded(code, 61)
+    grid = reference.copy()
+    for r, c, v in ((0, 3, 3), (0, 6, 2), (1, 2, 5), (1, 5, 6), (1, 0, 1)):
+        grid.cells[r][c] ^= v
+    report = decode_errors_erasures(code, grid, allow_fallback=False)
+    assert report.status == CORRECTED
+    assert report.rotations == 1
+    assert report.grid == reference
+    assert report.row_outcomes[:2] == (COMBINED, COMBINED)

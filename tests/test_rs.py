@@ -91,7 +91,7 @@ def test_full_parity_code_contains_only_zero():
 
 @pytest.mark.parametrize("degree,n,u", [(3, 7, 3), (4, 15, 6)])
 def test_error_erasure_decode_within_capability(degree, n, u):
-    # u = 3 exercises the exhaustive search path, u = 6 the syndrome path
+    # a small and a larger code through the same syndrome decoder
     code = build_rs(default_field(degree), n, u)
     ctx = code.ctx
     rng = random.Random(degree * 100 + u)
@@ -209,3 +209,48 @@ def test_erasure_fill_matches_elimination_on_sampled_gf16_patterns():
             assert consistent
             outcomes.add(other)
     assert outcomes == {True, False}
+
+
+# -- error-erasure decode against the nearest codeword ---------------------
+
+def _all_codewords(code: RsCode) -> list[list[int]]:
+    """Every codeword, as combinations of a systematic basis found by
+    elimination (k = n - u, so 8**k words over GF(8))."""
+    ctx = code.ctx
+    tail = list(range(code.dimension, code.n))
+    basis = []
+    for i in range(code.dimension):
+        unit = [0] * code.n
+        unit[i] = 1
+        basis.append(_eliminated_fill(code, unit, tail))
+    words = [[0] * code.n]
+    for b in basis:
+        words = [[v ^ ctx.mul(a, bv) for v, bv in zip(w, b)]
+                 for a in range(ctx.size) for w in words]
+    return words
+
+
+@pytest.mark.parametrize("u", range(5))
+def test_error_erasure_decode_matches_nearest_codeword(u):
+    # the decoder must return the nearest codeword whenever it lies
+    # within 2i + e <= u of the known positions, and None otherwise
+    n = min(7, u + 4)
+    code = build_rs(default_field(3), n, u)
+    words = _all_codewords(code)
+    assert len(words) == 8 ** (n - u)
+    rng = random.Random(60 + u)
+    outcomes = set()
+    for _ in range(120):
+        sent = rng.choice(words)
+        received = list(sent)
+        for j in rng.sample(range(n), rng.randrange(min(n, u + 2) + 1)):
+            received[j] ^= rng.randrange(1, 8)
+        erased = sorted(rng.sample(range(n), rng.randrange(u + 1)))
+        known = [j for j in range(n) if j not in erased]
+        dist, nearest = min(
+            (sum(1 for j in known if w[j] != received[j]), w) for w in words)
+        want = (nearest, dist) if 2 * dist + len(erased) <= u else None
+        assert code.error_erasure_decode(received, erased) == want, (
+            received, erased)
+        outcomes.add(want is None)
+    assert outcomes == ({False} if u == 0 else {True, False})
