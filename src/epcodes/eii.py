@@ -18,6 +18,7 @@ belongs to.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .gf import FieldContext
@@ -108,8 +109,17 @@ class Profile:
     def min_distance(self) -> int:
         if self.t == 0:
             raise ProfileError("all-parity profile has no nonzero words")
-        return min((self.suffix_at(i + 1) + 1) * (self.levels[i] + 1)
-                   for i in range(self.t))
+        return self.rows_distance(self.m)
+
+    def rows_distance(self, k: int) -> float:
+        """Least weight of a nonzero codeword on any k rows (inf if none).
+
+        Such a word needs more rows than the combinations of some level
+        i + 1; the lightest is then a min_weight_codeword at level i.
+        """
+        return min(((self.suffix_at(i + 1) + 1) * (self.levels[i] + 1)
+                    for i in range(self.t) if self.suffix_at(i + 1) < k),
+                   default=math.inf)
 
     def tail_parity_cols(self, row: int) -> range:
         """Columns holding parity in the given row under the tail layout."""
@@ -302,25 +312,58 @@ class EiiCode:
         weights[target] = 0
         return self._combo(cells, [mul(scale, w) for w in weights])
 
+    def peel(self, grid: SymbolGrid, order, decode) -> tuple[list, int]:
+        """Resolve the rows of `order` in place, last first; the rest are known.
+
+        order[-1] is isolated against order[:-1] and decode(code, word,
+        erased) -> codeword or None runs in the code at combo_level of
+        len(order) - 1.  On failure the order rotates, last row to the
+        front, until each row has had the slot.  Returns the rows left
+        and the rotation count.
+        """
+        order, rotations = list(order), 0
+        while order:
+            code = self.row_code(self.profile.combo_level(len(order) - 1))
+            for attempt in range(len(order)):
+                row = order[-1]
+                erased = grid.erased_in_row(row)
+                # both decoders refuse more erasures than the code's budget
+                if len(erased) <= code.u:
+                    known = self.isolated_combination(grid.cells, row,
+                                                      order[:-1])
+                    word = [k ^ (0 if lost else v) for k, v, lost
+                            in zip(known, grid.cells[row], grid.mask[row])]
+                    dec = decode(code, word, erased)
+                    if dec is not None:
+                        grid.cells[row] = [d ^ k for d, k in zip(dec, known)]
+                        grid.mask[row] = [False] * self.n
+                        order.pop()
+                        break
+                if attempt < len(order) - 1:
+                    order = [order[-1]] + order[:-1]
+                    rotations += 1
+            else:
+                break
+        return order, rotations
+
     # -- erasure decoding -----------------------------------------------
 
     def decode_rows(self, grid: SymbolGrid) -> DecodeReport:
         """One pass of per-row correction plus isolated combinations.
 
         Rows within the outermost budget are corrected directly.  The
-        rest are ordered most-erased first and recovered least-erased
-        first, each isolated against the rows still ahead of it, until
-        one overshoots the budget of the code its combination sits in,
-        which by the sorted matching of row_correctable is exactly where
-        correction stops.
+        rest go to peel most-erased first, so they are recovered
+        least-erased first until one overshoots the budget of its code;
+        every row ahead of it carries as many erasures, so no rotation
+        helps, and by the sorted matching of row_correctable that is
+        exactly where correction stops.
         """
         g = grid.copy()
         before = g.erasure_count()
         if before == 0:
             return DecodeReport(g, FULLY_CORRECTED, frozenset(), (), 0)
 
-        prof = self.profile
-        u0 = prof.levels[0]
+        u0 = self.profile.levels[0]
         corrected: set[int] = set()
         failed: list[int] = []
         counts = [len(g.erased_in_row(r)) for r in range(self.m)]
@@ -339,26 +382,9 @@ class EiiCode:
             else:
                 failed.append(r)
 
-        # the rest go last first: order[p] is isolated against order[:p],
-        # and that combination lies in the code at combo_level(p)
-        order = sorted(failed, key=lambda r: (-counts[r], r))
-        for p in range(len(order) - 1, -1, -1):
-            row = order[p]
-            erased = g.erased_in_row(row)
-            w = prof.combo_level(p)
-            if len(erased) > prof.levels[w]:
-                break
-            known = self.isolated_combination(g.cells, row, order[:p])
-            word = [k ^ (0 if lost else v)
-                    for k, v, lost in zip(known, g.cells[row], g.mask[row])]
-            dec = self.row_code(w).erasure_decode(word, erased)
-            if dec is None:
-                break
-            # at erased cells, word held only the known contribution
-            for c in erased:
-                g.cells[row][c] = dec[c] ^ known[c]
-                g.mask[row][c] = False
-            corrected.add(row)
+        left, _ = self.peel(g, sorted(failed, key=lambda r: (-counts[r], r)),
+                            RsCode.erasure_decode)
+        corrected.update(set(failed) - set(left))
 
         residual = tuple(g.erasure_coords())
         if not residual:

@@ -3,19 +3,19 @@
 Erasure positions are flagged by the mask; any unmasked cell may
 additionally be wrong.  Each row is first tried on its own in the
 outermost row code, which fixes i errors plus j erasures whenever
-2i + j fits inside the row budget.  Rows that resist are peeled off
-one at a time: EiiCode.isolated_combination weights the rows so that
-every other unresolved row cancels and the last one stands alone
-against fully known rows, and that single combination is decoded in
-the deepest nested code its size permits.  When the isolated row
-carries too much damage, the ordering is rotated (last row to the
-front) and the next row isolated instead, so every unresolved row gets
-a turn in the isolated slot before the level gives up.  A failed row
-stage is retried once on the transposed grid under the column code.
+2i + j fits inside the row budget.  The rows that resist go to
+EiiCode.peel, which isolates them one at a time, decodes each in the
+deepest nested code its size permits and rotates the order on failure.
 
-Miscorrection is assumed absent: a component decode that returns a
-word is trusted.  A final membership check guards the Corrected status
-anyway.
+A decode past its budget can return a wrong word, so every cyclic start
+of the order gives a candidate, and of those that pass the membership
+check the one changing the fewest known cells wins.  Two candidates
+differ by a codeword on the peeled rows, so one that changes t known
+cells there, with 2t plus the erasures there below
+Profile.rows_distance, is the nearest and ends the search (the bound of
+Forney's generalized minimum distance decoding).  With no candidate the
+transposed grid is decoded once under the column code.  The row stage
+is still trusted, and a row it fills with no check to spare may be wrong.
 """
 
 from __future__ import annotations
@@ -42,8 +42,9 @@ class ErrorDecodeReport:
     "row-code" for a plain per-row decode, "combined" for recovery via
     an isolated combination, "failed" when the row stage left it dirty
     (a successful fallback still fixes such rows in the grid).
-    rotations counts the reordering retries across all levels and both
-    stages; fallback_used reports whether the transposed stage ran.
+    rotations counts the start offset and reordering retries of the peel
+    that gave the grid (else the first peel's, plus the transposed
+    stage's); fallback_used reports whether the transposed stage ran.
     """
 
     grid: SymbolGrid
@@ -60,81 +61,55 @@ def decode_errors_erasures(code: EiiCode, grid: SymbolGrid,
     work = grid.copy()
     outcomes = [UNRESOLVED] * prof.m
     failed = []
-    row0 = code.row_code(0)
     for r in range(prof.m):
-        erased = work.erased_in_row(r)
-        word = [0 if work.mask[r][c] else work.cells[r][c]
-                for c in range(prof.n)]
-        dec = row0.error_erasure_decode(word, erased)
+        dec = _decode(code.row_code(0), work.cells[r], work.erased_in_row(r))
         if dec is None:
             failed.append(r)
-            continue
-        _write_row(work, r, dec[0])
-        outcomes[r] = ROW_PASS
-
-    rotations = 0
-    ok = True
-    if failed:
-        if len(failed) > prof.suffix_at(1):
-            ok = False
         else:
-            order = sorted(failed,
-                           key=lambda r: (-len(work.erased_in_row(r)), r))
-            ok, rotations = _peel(code, work, order, outcomes)
+            work.cells[r], work.mask[r] = dec, [False] * prof.n
+            outcomes[r] = ROW_PASS
 
-    if ok and work.is_clean() and code.is_codeword(work):
-        return ErrorDecodeReport(work, CORRECTED, tuple(outcomes),
-                                 rotations, False)
+    order = sorted(failed, key=lambda r: (-len(work.erased_in_row(r)), r))
+    k = len(order)
+    first, left, rotations, best = work, order, 0, None
+    if k <= prof.suffix_at(1):
+        spare = prof.rows_distance(k) - sum(len(work.erased_in_row(r))
+                                            for r in order)
+        # with no row left, the row stage's output is the one candidate
+        for start in range(max(k, 1)):
+            cand = work.copy()
+            rest, turns = code.peel(cand, order[k - start:] + order[:k - start],
+                                    _decode)
+            if start == 0:
+                first, left, rotations = cand, rest, turns
+            changed = sum(v != w for r in order for v, w, lost
+                          in zip(cand.cells[r], work.cells[r], work.mask[r])
+                          if not lost)
+            if rest or best and changed >= best[0] or not code.is_codeword(cand):
+                continue
+            best = (changed, cand, start + turns)
+            if changed == 0 or 2 * changed < spare:
+                break
+    for r in order:
+        if best is not None or r not in left:
+            outcomes[r] = COMBINED
+
+    if best is not None:
+        return ErrorDecodeReport(best[1], CORRECTED, tuple(outcomes),
+                                 best[2], False)
 
     if not allow_fallback:
-        return ErrorDecodeReport(work, FAILED_ROWS, tuple(outcomes),
+        return ErrorDecodeReport(first, FAILED_ROWS, tuple(outcomes),
                                  rotations, False)
 
-    inner = decode_errors_erasures(transpose_code(code), work.transpose(),
+    inner = decode_errors_erasures(transpose_code(code), first.transpose(),
                                    allow_fallback=False)
     status = CORRECTED if inner.status == CORRECTED else FAILED_BOTH
     return ErrorDecodeReport(inner.grid.transpose(), status, tuple(outcomes),
                              rotations + inner.rotations, True)
 
 
-def _write_row(work: SymbolGrid, r: int, values) -> None:
-    work.cells[r] = list(values)
-    for c in range(len(work.mask[r])):
-        work.mask[r][c] = False
-
-
-def _peel(code: EiiCode, work: SymbolGrid, order: list, outcomes: list):
-    """Resolve the ordered unresolved rows last-first, rotating on failure.
-
-    Returns (success, rotation count).  Corrections are written into
-    work as they happen, so a partial run still improves the grid.
-    """
-    prof = code.profile
-    rotations = 0
-    order = list(order)
-    while order:
-        level = prof.combo_level(len(order) - 1)
-        decoder = code.row_code(level)
-        resolved = False
-        for attempt in range(len(order)):
-            target = order[-1]
-            known = code.isolated_combination(work.cells, target, order[:-1])
-            erased = work.erased_in_row(target)
-            word = [known[c] ^ (0 if work.mask[target][c]
-                                else work.cells[target][c])
-                    for c in range(prof.n)]
-            dec = decoder.error_erasure_decode(word, erased)
-            if dec is not None:
-                _write_row(work, target,
-                           [v ^ k for v, k in zip(dec[0], known)])
-                outcomes[target] = COMBINED
-                order.pop()
-                resolved = True
-                break
-            if attempt < len(order) - 1:
-                order = [order[-1]] + order[:-1]
-                rotations += 1
-        if not resolved:
-            return False, rotations
-    return True, rotations
-
+def _decode(code, word, erased):
+    """Codeword from the error-erasure decoder, or None."""
+    dec = code.error_erasure_decode(word, erased)
+    return dec and dec[0]

@@ -77,18 +77,6 @@ def invmod(a: int, f: int) -> int:
     return mod(s, f)
 
 
-def powmod(a: int, e: int, f: int) -> int:
-    """a**e modulo f for e >= 0."""
-    out = 1
-    a = mod(a, f)
-    while e:
-        if e & 1:
-            out = mulmod(out, a, f)
-        a = mulmod(a, a, f)
-        e >>= 1
-    return out
-
-
 def _prime_factors(n: int) -> list[int]:
     out = []
     d = 2

@@ -158,8 +158,6 @@ class RsCode:
         lam = _pmul(ctx, sigma, gamma)
 
         nerr = _pdeg(lam)
-        if nerr < 0:
-            return None
         support = []
         for j in range(self.n):
             if _peval(ctx, lam, ctx.alpha_pow(-j)) == 0:
@@ -181,8 +179,6 @@ class RsCode:
                     return None
                 errs += 1
             y[j] ^= val
-        if 2 * errs + len(e) > u:
-            return None
         if any(self.syndromes(y)):
             return None
         return y, errs

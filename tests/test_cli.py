@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from epcodes.cli import main
 
@@ -230,3 +235,76 @@ def test_null_data_symbol_is_a_usage_error(tmp_path, capsys):
                        "--data", str(data_file))
     assert code == 2
     assert "bad symbol None" in err
+
+
+# -- malformed grid files --------------------------------------------------
+
+def _valid_grid_doc():
+    """A 4x5 GF(8) grid document for C(5,[1,1,2,5]), one cell erased."""
+    cells = [[format((3 * r + c) % 8, "x") for c in range(5)] for r in range(4)]
+    cells[1][2] = None
+    return {"m": 4, "n": 5, "field": {"degree": 3, "modulus": "b"},
+            "cells": cells}
+
+
+# text that is neither a number nor a hex symbol
+_junk_text = st.text(alphabet="ghqxyz!. ", min_size=1, max_size=4)
+_junk = st.one_of(st.none(), _junk_text, st.lists(st.integers(), max_size=2),
+                  st.dictionaries(_junk_text, st.integers(), max_size=2))
+
+
+@st.composite
+def malformed_grid_docs(draw):
+    """A grid document with one defect that makes it unusable."""
+    doc = _valid_grid_doc()
+    kind = draw(st.sampled_from(["top", "key", "field", "degree", "modulus",
+                                 "shape", "cells", "rows", "ragged", "cell"]))
+    if kind == "top":
+        return draw(st.one_of(_junk, st.integers()))
+    if kind == "key":
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    elif kind == "field":
+        doc["field"] = draw(st.one_of(_junk, st.integers()))
+    elif kind == "degree":
+        doc["field"]["degree"] = draw(st.one_of(
+            _junk, st.integers(-3, 8).filter(lambda d: d != 3)))
+    elif kind == "modulus":
+        # only 0xb and 0xd are irreducible of degree 3
+        doc["field"]["modulus"] = draw(st.one_of(_junk, st.integers(
+            0, 64).filter(lambda v: v not in (11, 13)).map("{:x}".format)))
+    elif kind == "shape":
+        key = draw(st.sampled_from(["m", "n"]))
+        doc[key] = draw(st.one_of(_junk, st.integers(-2, 9).filter(
+            lambda v: v != doc[key])))
+    elif kind == "cells":
+        doc["cells"] = draw(st.one_of(_junk, st.integers()))
+    elif kind == "rows":
+        if draw(st.booleans()):
+            doc["cells"].pop(draw(st.integers(0, 3)))
+        else:
+            doc["cells"].append(list(doc["cells"][0]))
+    elif kind == "ragged":
+        doc["cells"][draw(st.integers(0, 3))].pop()
+    else:
+        value = draw(st.one_of(
+            _junk_text, st.lists(st.integers(), max_size=2),
+            st.integers(max_value=-1), st.integers(min_value=8),
+            st.integers(8, 1 << 20).map("{:x}".format)))
+        doc["cells"][draw(st.integers(0, 3))][draw(st.integers(0, 4))] = value
+    return doc
+
+
+@settings(max_examples=150)
+@given(malformed_grid_docs())
+def test_malformed_grid_files_exit_with_a_message(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "grid.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = main(["decode", path, "--code", "C(5,[1,1,2,5])",
+                         "--mode", "errors"])
+    assert code in (2, 3)
+    assert err.getvalue().startswith(("error:", "capability:"))

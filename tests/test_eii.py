@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 
 import pytest
@@ -20,7 +22,7 @@ from epcodes.eii import (
     row_correctable,
 )
 from epcodes import linalg
-from epcodes.epc import matrix_erasure_decode
+from epcodes.epc import exhaustive_min_distance, matrix_erasure_decode
 from epcodes.gf import build_aop_field, build_field, default_field
 from epcodes.layout import encode_balanced, iterative_decode
 from epcodes.rs import LengthExceedsOrder
@@ -272,6 +274,32 @@ def test_assembled_matrix_annihilates_codewords():
     flat[3] ^= 5
     assert any(H.syndrome(flat))
     assert H.rank() == 20 - code.dimension()
+
+
+# -- distance on a subset of rows ------------------------------------------
+
+@pytest.mark.parametrize("ctx,n,entries", [
+    (GF8, 5, (1, 1, 2, 5)),            # a full-parity row
+    (GF8, 6, (0, 2, 2, 5)),            # a zero budget
+    (GF8, 4, (0, 0, 4, 4)),            # both
+    (build_aop_field(5), 5, (1, 2, 2, 3)),
+    (build_field(3, 0b1101, "polynomial"), 4, (1, 1, 2, 3, 4)),
+])
+def test_rows_distance_matches_exhaustive_search(ctx, n, entries):
+    # the lightest codeword supported on a k-row subset has the same
+    # weight whichever k rows they are
+    code = build_eii(ctx, n, entries)
+    H = code.assembled_parity_matrix()
+    for k in range(1, code.m + 1):
+        want = code.profile.rows_distance(k)
+        for rows in itertools.combinations(range(code.m), k):
+            cols = [j * n + c for j in rows for c in range(n)]
+            sub = linalg.ParityMatrix(ctx, [[h[i] for i in cols]
+                                            for h in H.rows])
+            cap = min(want, len(cols))
+            assert exhaustive_min_distance(sub, cap) == (
+                want if want < math.inf else cap + 1)
+    assert code.profile.rows_distance(code.m) == code.min_distance()
 
 
 # -- tail encode by one decode ---------------------------------------------

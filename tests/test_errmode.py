@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 
+from hypothesis import given, settings, strategies as st
+
 from epcodes.eii import build_eii
 from epcodes.errmode import (
     COMBINED,
@@ -14,9 +16,11 @@ from epcodes.errmode import (
     UNRESOLVED,
     decode_errors_erasures,
 )
-from epcodes.gf import default_field
+from epcodes.gf import build_aop_field, build_field, default_field
+from epcodes.layout import encode_balanced
 
 GF8 = default_field(3)
+GF16 = default_field(4)
 
 
 def encoded(code, seed):
@@ -187,3 +191,109 @@ def test_rotated_peel_still_returns_the_codeword():
     assert report.rotations == 1
     assert report.grid == reference
     assert report.row_outcomes[:2] == (COMBINED, COMBINED)
+
+
+# -- the nearest candidate -------------------------------------------------
+
+def damaged(sent, erasures, errors):
+    """sent with (row, col, junk) cells erased and (row, col, xor) errors."""
+    grid = sent.copy()
+    for r, c, v in erasures:
+        grid.cells[r][c] = v
+        grid.erase(r, c)
+    for r, c, v in errors:
+        grid.cells[r][c] ^= v
+    return grid
+
+
+def test_isolated_miscorrection_loses_to_a_nearer_candidate():
+    # the 16x32 GF(2^16) code of the codec benchmark (d = 15), with the
+    # pattern of its codec-errors op 75 at seed 304: row 2 holds 2 errors
+    # and 6 erasures, 10 in all against the level-1 budget of 8, and its
+    # isolated decode still returns a word.  That first candidate changes
+    # more known cells than the one with row 1 isolated first.
+    code = build_eii(default_field(16), 32, (4,) * 14 + (8, 32))
+    rng = random.Random("codec-errors:304:75")
+    sent = encode_balanced(code, [rng.randrange(1 << 16)
+                                  for _ in range(code.dimension())])
+    grid = damaged(sent, [
+        (1, 3, 30948), (1, 25, 9899), (1, 13, 59916), (1, 18, 43432),
+        (1, 29, 48695), (1, 24, 19128), (1, 5, 53854), (1, 6, 56046),
+        (2, 6, 9967), (2, 31, 53243), (2, 17, 23588), (2, 9, 33189),
+        (2, 21, 38880), (2, 5, 54855), (3, 6, 32178)],
+        [(2, 10, 41707), (2, 11, 9291), (0, 9, 42569), (3, 25, 31054)])
+    report = decode_errors_erasures(code, grid)
+    assert report.status == CORRECTED
+    assert report.grid == sent
+    assert report.rotations == 1
+    assert not report.fallback_used
+
+
+def test_fallback_keeps_the_nearest_column_candidate():
+    # codec-errors op 177 at seed 302: three rows with 5 or 6 erasures,
+    # one of them also with an error, are more than the peel can take, so
+    # the transposed code decodes; its first candidate is a wrong one
+    code = build_eii(default_field(16), 32, (4,) * 14 + (8, 32))
+    rng = random.Random("codec-errors:302:177")
+    sent = encode_balanced(code, [rng.randrange(1 << 16)
+                                  for _ in range(code.dimension())])
+    grid = damaged(sent, [
+        (15, 5, 18224), (15, 23, 2285), (15, 28, 13653), (15, 22, 38524),
+        (15, 24, 38532), (12, 10, 24807), (12, 6, 21719), (12, 25, 54109),
+        (12, 22, 25033), (12, 17, 35894), (12, 1, 31420), (6, 25, 12724),
+        (6, 23, 12490), (6, 10, 58188), (6, 5, 62969), (6, 22, 38923),
+        (6, 16, 35559)],
+        [(15, 25, 34174)])
+    report = decode_errors_erasures(code, grid)
+    assert report.status == CORRECTED
+    assert report.grid == sent
+    assert report.fallback_used
+
+
+def test_small_code_patterns_inside_the_radius_decode_to_the_sent_word():
+    # C(10,[1,1,2,2,4,10]) over GF(16), d = 9: both patterns have
+    # 2t + e = 8.  Taking the first word each isolated decode returned
+    # gave another codeword here.
+    code = build_eii(GF16, 10, (1, 1, 2, 2, 4, 10))
+    sent = encoded(code, 62)
+    for erasures, errors in (
+            ([(3, 0, 7), (3, 3, 1)], [(1, 9, 6), (2, 4, 6), (2, 6, 9)]),
+            ([(3, 0, 2), (3, 6, 0), (4, 0, 11), (4, 3, 5)],
+             [(4, 4, 8), (4, 5, 12)])):
+        report = decode_errors_erasures(code, damaged(sent, erasures, errors))
+        assert report.status == CORRECTED
+        assert report.grid == sent
+
+
+RADIUS_CODES = [
+    build_eii(GF16, 10, (1, 1, 2, 2, 4, 10)),
+    build_eii(build_aop_field(5), 5, (1, 2, 2, 3)),
+    build_eii(build_field(3, 0b1101, "polynomial"), 7, (1, 1, 2, 2, 4, 7)),
+]
+
+
+@st.composite
+def inside_radius(draw):
+    """A code, a codeword seed and a pattern with 2t + e < d, its damage
+    confined to a few rows with at most two errors in each."""
+    code = draw(st.sampled_from(RADIUS_CODES))
+    rng = random.Random(draw(st.integers(0, 2 ** 64)))
+    spare = code.min_distance() - 1
+    erasures, errors = [], []
+    for r in rng.sample(range(code.m), rng.randint(2, 4)):
+        t = rng.randint(0, min(2, spare // 2))
+        e = rng.randint(0, min(spare - 2 * t, code.n - t, 3))
+        spare -= 2 * t + e
+        cols = rng.sample(range(code.n), t + e)
+        erasures += [(r, c, rng.randrange(code.ctx.size)) for c in cols[:e]]
+        errors += [(r, c, rng.randrange(1, code.ctx.size)) for c in cols[e:]]
+    return code, rng.randrange(10 ** 9), erasures, errors
+
+
+@settings(max_examples=300)
+@given(inside_radius())
+def test_no_wrong_corrected_result_inside_the_radius(case):
+    code, seed, erasures, errors = case
+    sent = encoded(code, seed)
+    report = decode_errors_erasures(code, damaged(sent, erasures, errors))
+    assert report.status != CORRECTED or report.grid == sent
