@@ -139,9 +139,12 @@ def grid_to_json(grid: SymbolGrid, ctx: FieldContext) -> dict:
 
 
 def _symbol(val) -> int:
-    """A symbol written as a hex string or a JSON integer."""
+    """A symbol written as a hex string or a JSON integer (not a bool or
+    a float, which int() would quietly accept)."""
+    if type(val) is int:
+        return val
     try:
-        return int(val, 16) if isinstance(val, str) else int(val)
+        return int(val, 16)
     except (TypeError, ValueError):
         raise CliError("bad symbol %r (want a hex string or an integer)"
                        % (val,)) from None

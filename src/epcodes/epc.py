@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .eii import EiiCode, Profile
 from .gf import FieldContext
-from .linalg import ParityMatrix, nullspace, solve_unique
+from .linalg import ParityMatrix, solve_unique
 
 
 class ParameterOutOfRange(ValueError):
@@ -126,6 +126,14 @@ def optimal_two_level_code(context: FieldContext, m: int, n: int,
     return EiiCode(Profile(entries, n), context)
 
 
+def _product_rows(m: int, n: int) -> list[list[int]]:
+    """One indicator row per grid row, then one per grid column, over the
+    cells in row-major order."""
+    cells = range(m * n)
+    return ([[1 if idx // n == i else 0 for idx in cells] for i in range(m)]
+            + [[1 if idx % n == j else 0 for idx in cells] for j in range(n)])
+
+
 def two_global_parity_matrix(context: FieldContext, m: int, n: int) -> ParityMatrix:
     """Product-code checks plus two global power rows.
 
@@ -138,11 +146,7 @@ def two_global_parity_matrix(context: FieldContext, m: int, n: int) -> ParityMat
     if not context.order_at_least(m * n):
         raise OrderTooSmall(
             f"alpha order below {m * n}, cannot index the grid")
-    rows = []
-    for i in range(m):
-        rows.append([1 if idx // n == i else 0 for idx in range(m * n)])
-    for j in range(n):
-        rows.append([1 if idx % n == j else 0 for idx in range(m * n)])
+    rows = _product_rows(m, n)
     rows.append([context.alpha_pow(idx) for idx in range(m * n)])
     rows.append([context.alpha_pow(-idx) for idx in range(m * n)])
     return ParityMatrix(context, rows)
@@ -166,11 +170,7 @@ def global_parity_matrix(context: FieldContext, m: int, n: int, g: int) -> Parit
     if context.degree < need:
         raise FieldTooSmall(
             f"construction needs field degree >= {need}, have {context.degree}")
-    rows = []
-    for i in range(m):
-        rows.append([1 if idx // n == i else 0 for idx in range(m * n)])
-    for j in range(n):
-        rows.append([1 if idx % n == j else 0 for idx in range(m * n)])
+    rows = _product_rows(m, n)
     for i in range(g):
         rows.append([context.alpha_pow((i + 1) * idx) for idx in range(m * n)])
     return ParityMatrix(context, rows)
@@ -219,54 +219,68 @@ def power_matrix_det_degree(exponents, g: int) -> int:
 _PATTERN_BUDGET = 2_000_000
 
 
-def _kernel_min_weight(ctx, basis: list[list[int]], total: int,
-                       cap: int) -> int:
-    """Smallest support among nonzero combinations of the basis vectors.
+def _reduce(v: int, piv: list[int]) -> int:
+    """Remainder of the packed GF(2) vector v against a pivot table that
+    holds, at each bit position, the pivot whose top bit it is (or 0)."""
+    while v:
+        e = piv[v.bit_length() - 1]
+        if not e:
+            break
+        v ^= e
+    return v
 
-    Walks every coefficient tuple with a carry counter; each digit
-    change XORs one precomputed multiple into a packed accumulator, so
-    a step costs a handful of integer operations regardless of total.
+
+def _kernel_words(H: ParityMatrix) -> list[int]:
+    """GF(2) basis of the right kernel, each word packed b bits a column.
+
+    Every packed column slot carries a tag bit, held below the check
+    bits, that records which slot it is; a slot whose check bits reduce
+    away leaves the packed kernel vector in its tags.  A column is
+    either independent of its predecessors in all b slots or in none, so
+    word i*b + s is x**s times the kernel vector that is 1 on the i-th
+    dependent column and 0 on the other dependent columns.
     """
-    if not basis:
-        return cap + 1
-    deg = ctx.degree
-    q = 1 << deg
+    b = H.ctx.degree
+    tags = H.num_cols * b
+    piv = [0] * (tags + H.num_rows * b)
+    words = []
+    for j, slots in enumerate(H.packed_columns()):
+        for s, col in enumerate(slots):
+            v = _reduce(col << tags | 1 << (j * b + s), piv)
+            if v >> tags:
+                piv[v.bit_length() - 1] = v
+            else:
+                words.append(v)
+    return words
+
+
+def _kernel_min_weight(words: list[int], b: int, total: int,
+                       cap: int) -> int:
+    """Smallest support among the nonzero kernel vectors, or cap + 1.
+
+    Weight is blind to scalar factors, so one vector per line suffices:
+    the one whose last nonzero dependent coordinate is 1.  With that
+    coordinate at dependent column i, the vector is word i*b plus any
+    sum of the words below it, which a Gray walk visits with one XOR a
+    step.
+    """
     mask = 0
     for j in range(total):
-        mask |= 1 << (deg * j)
-
-    def pack(vec):
-        acc = 0
-        for j, v in enumerate(vec):
-            acc |= v << (deg * j)
-        return acc
-
-    table = [[pack([ctx.mul(x, v) for v in vec]) for x in range(q)]
-             for vec in basis]
-    digits = [0] * len(basis)
-    folds = range(1, deg)
-    acc = 0
+        mask |= 1 << (b * j)
+    folds = range(1, b)
     best = cap + 1
-    for _ in range(q ** len(basis) - 1):
-        i = 0
-        while True:
-            old = digits[i]
-            new = old + 1
-            if new == q:
-                new = 0
-            digits[i] = new
-            acc ^= table[i][old ^ new]
-            if new:
-                break
-            i += 1
-        folded = acc
-        for s in folds:
-            folded |= acc >> s
-        w = (folded & mask).bit_count()
-        if w < best:
-            best = w
-            if best == 1:
-                break
+    for top in range(0, len(words), b):
+        acc = words[top]
+        for t in range(1, (1 << top) + 1):
+            folded = acc
+            for s in folds:
+                folded |= acc >> s
+            w = (folded & mask).bit_count()
+            if w < best:
+                best = w
+                if best == 1:
+                    return best
+            acc ^= words[(t & -t).bit_length() - 1]
     return best
 
 
@@ -278,15 +292,16 @@ def exhaustive_min_distance(code, cap: int) -> int:
     minimum distance; if no weight up to cap fails, returns cap + 1.
     Refuses up front when the total pattern count would be excessive.
 
-    Two strategies, picked by cost.  When the kernel of the matrix is
-    small, every nonzero kernel combination is weighed directly.
-    Otherwise the scan walks index sets depth-first so each new set
-    reuses the bit-packed elimination state of its prefix, and the
-    running answer caps the depth: once a dependent set of weight w
-    turns up, only sets lighter than w are still worth visiting.
-    Column order inside the walk is reversed because dependent sets
-    tend to cluster in the high parity corner, and meeting one early
-    tightens the cap sooner.
+    Both strategies run XOR elimination on the bit-packed GF(2)
+    expansion of the columns, and pick by cost.  When the kernel is
+    small, one vector per kernel line is weighed directly: (q**k - 1) /
+    (q - 1) steps for a k-dimensional kernel over GF(q).  Otherwise the
+    scan walks index sets depth-first so each new set reuses the
+    elimination state of its prefix, and the running answer caps the
+    depth: once a dependent set of weight w turns up, only sets lighter
+    than w are still worth visiting.  Column order inside the walk is
+    reversed because dependent sets tend to cluster in the high parity
+    corner, and meeting one early tightens the cap sooner.
     """
     H = code.assembled_parity_matrix() if isinstance(code, EiiCode) else code
     total = H.num_cols
@@ -299,42 +314,32 @@ def exhaustive_min_distance(code, cap: int) -> int:
         if count > _PATTERN_BUDGET:
             raise TooLarge(
                 f"{count}+ patterns up to weight {w}, budget {_PATTERN_BUDGET}")
-    basis = nullspace(H.ctx, H.rows)
-    if (1 << (H.ctx.degree * len(basis))) <= 2 * count:
-        return _kernel_min_weight(H.ctx, basis, total, cap)
-    packed = [H.packed_columns()[total - 1 - j] for j in range(total)]
-    first = [group[0] for group in packed]
-    piv = [0] * (H.num_rows * H.ctx.degree + 1)
+    b = H.ctx.degree
+    words = _kernel_words(H)
+    if ((1 << len(words)) - 1) // ((1 << b) - 1) <= 2 * count:
+        return _kernel_min_weight(words, b, total, cap)
+    packed = H.packed_columns()[::-1]
+    piv = [0] * (H.num_rows * b)
     best = cap + 1
 
-    def explore(start: int, depth: int,
-                piv=piv, packed=packed, first=first, total=total) -> None:
+    def explore(start: int, depth: int) -> None:
         nonlocal best
         for j in range(start, total):
             if depth + 1 >= best:
                 return
-            v = first[j]
-            while v:
-                h = v.bit_length() - 1
-                e = piv[h]
-                if not e:
+            added = []
+            # a column independent in slot 0 stays so in every slot: the
+            # span so far is closed under multiplication by x
+            for col in packed[j]:
+                v = _reduce(col, piv)
+                if not v:
                     break
-                v ^= e
-            if not v:
+                h = v.bit_length() - 1
+                piv[h] = v
+                added.append(h)
+            if not added:
                 best = depth + 1
                 continue
-            piv[h] = v
-            added = [h]
-            for s in packed[j][1:]:
-                while s:
-                    h = s.bit_length() - 1
-                    e = piv[h]
-                    if not e:
-                        break
-                    s ^= e
-                if s:
-                    piv[h] = s
-                    added.append(h)
             explore(j + 1, depth + 1)
             for h in added:
                 piv[h] = 0

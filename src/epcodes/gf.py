@@ -113,9 +113,8 @@ class FieldContext:
                 alpha = 1
                 alpha_order = 1
             elif representation == "table":
-                # alpha = x when x is primitive, else the smallest primitive.
-                alpha = 2 if self._order_by_cycle(2) == self.size - 1 \
-                    else self._smallest_primitive()
+                # the table generator: the smallest primitive element
+                alpha = self._table_gen
                 alpha_order = self.size - 1
             else:
                 # polynomial representation keeps alpha = x; its order is
@@ -157,22 +156,6 @@ class FieldContext:
             gen += 1
             if gen >= size:
                 raise AssertionError("no primitive element found")
-
-    def _order_by_cycle(self, a: int) -> int:
-        v = a
-        k = 1
-        while v != 1:
-            v = p2.mulmod(v, a, self.modulus)
-            k += 1
-            if k > self.size:
-                raise AssertionError("order loop escaped the group")
-        return k
-
-    def _smallest_primitive(self) -> int:
-        for cand in range(2, self.size):
-            if self._order_by_cycle(cand) == self.size - 1:
-                return cand
-        raise AssertionError("no primitive element found")
 
     # -- arithmetic ------------------------------------------------------
 

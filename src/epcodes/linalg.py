@@ -1,9 +1,11 @@
-"""Dense linear algebra over a field context.
+"""Linear algebra over a field context.
 
-Matrices are lists of equal-length rows of ints.  Besides plain Gaussian
-elimination there is a bit-packed path that expands each GF(2^b) column
-into b GF(2) columns packed into Python ints; rank questions then reduce
-to XOR elimination, which is what the erasure-pattern oracles lean on.
+Matrices are lists of equal-length rows of ints.  Dense Gaussian
+elimination over GF(2^b) is the reference solve that decoders and tests
+trust.  For search, a parity matrix also expands each GF(2^b) column
+into b GF(2) columns packed into Python ints; rank and kernel questions
+then reduce to XOR elimination, which is what the minimum-distance
+search runs on.
 """
 
 from __future__ import annotations
@@ -98,23 +100,6 @@ def rref(ctx: FieldContext, rows: list[list[int]]) -> tuple[list[list[int]], lis
 
 def rank(ctx: FieldContext, rows: list[list[int]]) -> int:
     return len(rref(ctx, rows)[1])
-
-
-def nullspace(ctx: FieldContext, rows: list[list[int]]) -> list[list[int]]:
-    """Basis of the right kernel, one vector per free column."""
-    n_cols = len(rows[0]) if rows else 0
-    red, pivots = rref(ctx, rows)
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(n_cols):
-        if f in pivot_set:
-            continue
-        v = [0] * n_cols
-        v[f] = 1
-        for r, c in enumerate(pivots):
-            v[c] = red[r][f]  # char 2: -x == x
-        basis.append(v)
-    return basis
 
 
 def solve_unique(ctx: FieldContext, rows: list[list[int]], rhs: list[int]) -> list[int] | None:

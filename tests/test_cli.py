@@ -216,6 +216,10 @@ def test_simulate_lrc_model_needs_shape(capsys):
     (4, 5, 5),              # cells is not a list of rows
     (1, 5, [7]),            # a row is not a list
     (1, 1, [[[1]]]),        # a cell is neither hex nor an integer
+    # a float or a bool is not an integer, though int() would take it;
+    # the grids fit the code so that only the cell can be at fault
+    (4, 5, [[1.9, 0, 0, 0, 0]] + [[0] * 5] * 3),
+    (4, 5, [[True, 0, 0, 0, 0]] + [[0] * 5] * 3),
 ])
 def test_malformed_grid_cells_are_usage_errors(tmp_path, capsys, m, n, cells):
     grid_file = tmp_path / "grid.json"
@@ -230,11 +234,13 @@ def test_malformed_grid_cells_are_usage_errors(tmp_path, capsys, m, n, cells):
 
 def test_null_data_symbol_is_a_usage_error(tmp_path, capsys):
     data_file = tmp_path / "data.json"
-    data_file.write_text(json.dumps([1, None, 3] + [0] * 8))
-    code, _, err = run(capsys, "encode", "--code", "C(5,[1,1,2,5])",
-                       "--data", str(data_file))
-    assert code == 2
-    assert "bad symbol None" in err
+    # a bool is no symbol either, though int() would take it
+    for bad in (None, True):
+        data_file.write_text(json.dumps([1, bad, 3] + [0] * 8))
+        code, _, err = run(capsys, "encode", "--code", "C(5,[1,1,2,5])",
+                           "--data", str(data_file))
+        assert code == 2
+        assert "bad symbol %r" % (bad,) in err
 
 
 # -- malformed grid files --------------------------------------------------
@@ -289,6 +295,7 @@ def malformed_grid_docs(draw):
         value = draw(st.one_of(
             _junk_text, st.lists(st.integers(), max_size=2),
             st.integers(max_value=-1), st.integers(min_value=8),
+            st.floats(), st.booleans(),
             st.integers(8, 1 << 20).map("{:x}".format)))
         doc["cells"][draw(st.integers(0, 3))][draw(st.integers(0, 4))] = value
     return doc

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -25,8 +26,8 @@ from epcodes.epc import (
     power_matrix_det_degree,
     two_global_parity_matrix,
 )
-from epcodes.gf import build_field, default_field
-from epcodes.linalg import ParityMatrix
+from epcodes.gf import build_aop_field, build_field, default_field
+from epcodes.linalg import ParityMatrix, rank
 from epcodes.rs import build_rs
 
 GF8 = default_field(3)
@@ -188,3 +189,30 @@ def test_exhaustive_on_dependent_columns():
     assert exhaustive_min_distance(H, 3) == 2
     Z = ParityMatrix(GF8, [[1, 0, 0], [0, 1, 0]])
     assert exhaustive_min_distance(Z, 3) == 1  # zero column fails alone
+
+
+def _dense_min_distance(H, cap):
+    """Smallest w with some w columns of dense rank below w, else cap + 1."""
+    for w in range(1, cap + 1):
+        for cols in itertools.combinations(range(H.num_cols), w):
+            if rank(H.ctx, [[row[j] for j in cols] for row in H.rows]) < w:
+                return w
+    return cap + 1
+
+
+def test_exhaustive_distance_matches_dense_rank_reference():
+    fields = [default_field(2), GF8, build_aop_field(5),
+              build_field(3, 0b1011, "polynomial"),
+              build_field(4, 0b10011, "polynomial")]
+    rng = random.Random(2017)
+    for ctx in fields:
+        for _ in range(24):
+            n = rng.randint(2, 9)
+            rows = n - rng.randint(0, n - 1)  # kernel dimension >= n - rows
+            density = rng.choice([0.3, 0.6, 1.0])
+            H = ParityMatrix(ctx, [
+                [rng.randrange(1, ctx.size) if rng.random() < density else 0
+                 for _ in range(n)] for _ in range(rows)])
+            cap = rng.randint(1, n)
+            assert exhaustive_min_distance(H, cap) == \
+                _dense_min_distance(H, cap), (ctx, H.rows, cap)

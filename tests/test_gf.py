@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from epcodes import gf2poly as p2
 from epcodes.gf import (
     AopReducible,
     ContextMismatch,
@@ -70,6 +71,25 @@ def test_primitive_alpha_generates_multiplicative_group():
     assert ctx.order(ctx.alpha) == 15
     assert ctx.order_at_least(15)
     assert not ctx.order_at_least(16)
+
+
+def test_table_alpha_is_the_smallest_primitive_element():
+    def order(ctx, a):
+        v, k = a, 1
+        while v != 1:
+            v, k = ctx.mul(v, a), k + 1
+        return k
+
+    moduli = [f for deg in range(2, 9)
+              for f in range(1 << deg, 2 << deg) if p2.is_irreducible(f)]
+    assert 0b11111 in moduli  # x has order 5 there, so alpha is not x
+    for f in moduli:
+        ctx = FieldContext(p2.degree(f), f, "table")
+        full = ctx.size - 1
+        smallest = next(a for a in range(2, ctx.size) if order(ctx, a) == full)
+        assert ctx.alpha == smallest, p2.to_text(f)
+        assert ctx.alpha_order == full
+    assert FieldContext(4, 0b11111, "table").alpha == 3
 
 
 def test_table_and_polynomial_representations_agree():
