@@ -23,7 +23,7 @@ import argparse
 import json
 import sys
 
-from .eii import EiiCode, Profile, SymbolGrid
+from .eii import FAILED, EiiCode, Profile, SymbolGrid
 from .epc import (EmptyRange, EpcParams, FieldTooSmall, OrderTooSmall,
                   TooLarge, distance_bound, epc_params)
 from .errmode import CORRECTED, decode_errors_erasures
@@ -254,6 +254,9 @@ def cmd_decode(args) -> int:
                   "residual": [list(t) for t in residual],
                   "passes": rep.passes}
         ok = not residual
+        if grid.is_clean() and not code.is_codeword(grid):
+            # with nothing erased the decoders change nothing; check parity
+            report["status"], ok = FAILED, False
     _emit(grid_to_json(fixed, ctx), args.out)
     if args.report:
         _emit(report, args.report)

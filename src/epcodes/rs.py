@@ -6,7 +6,10 @@ A code of length n with u parities is the set of words c satisfying
 
 which is MDS with minimum distance u+1 whenever alpha has order >= n.
 Codes over the same context nest by construction: more parities means a
-subcode.  Decoding failures are returned as None, never raised.
+subcode.  Erasures are filled in closed form; with errors as well,
+Berlekamp-Massey seeded with the erasures locates the errata and the
+same fill supplies their values.  Decoding failures are returned as
+None, never raised.
 """
 
 from __future__ import annotations
@@ -64,6 +67,15 @@ class RsCode:
     def contains(self, word: list[int]) -> bool:
         return not any(self.syndromes(word))
 
+    def _locator(self, positions: list[int]) -> list[int]:
+        """prod_j (1 + X_j z) over the positions' locators, lowest power first."""
+        mul = self.ctx.mul
+        poly = [1]
+        for j in positions:
+            x = self._loc[j]
+            poly = [a ^ mul(x, b) for a, b in zip(poly + [0], [0] + poly)]
+        return poly
+
     # -- erasure-only decoding ------------------------------------------
 
     def erasure_decode(self, word: list[int], erasures: list[int]) -> list[int] | None:
@@ -75,9 +87,10 @@ class RsCode:
 
             x_i = sum_{r<e} q_{i,r} S_r / prod_{l != i} (X_i + X_l),
 
-        where q_i(z) = P(z) / (z + X_i) and P(z) = prod_l (z + X_l).  The
-        remaining u - e checks must then hold as well.  None when e > u
-        or when the non-erased part is inconsistent with every codeword.
+        where q_i(z) = P(z) / (z + X_i) and P(z) = prod_l (z + X_l), the
+        erasure locator with its coefficients reversed.  The remaining
+        u - e checks must then hold as well.  None when e > u or when the
+        non-erased part is inconsistent with every codeword.
         """
         e = sorted(set(erasures))
         if len(e) > self.u:
@@ -90,9 +103,7 @@ class RsCode:
             return y
         mul = self.ctx.mul
         locs = [self._loc[j] for j in e]
-        poly = [1]
-        for x in locs:
-            poly = [a ^ mul(x, b) for a, b in zip([0] + poly, poly + [0])]
+        poly = self._locator(e)[::-1]
         vals = []
         for x, w in zip(locs, difference_weights(self.ctx, locs)):
             # synthetic division of P by (z + x), highest coefficient first
@@ -119,9 +130,13 @@ class RsCode:
                              erasures: list[int]) -> tuple[list[int], int] | None:
         """Correct i errors plus the erasures when 2i + e <= u.
 
-        Returns (codeword, error_count) or None.  The syndromes of the
-        word with the erasures zeroed go through the erasure locator, the
-        Euclidean recursion and the derivative formula for values.  The
+        Returns (codeword, error_count) or None.  Berlekamp-Massey runs
+        on the syndromes of the word with the erasures zeroed, started
+        from the erasure locator with length e, so it ends on the errata
+        locator (Blahut's errata decoder).  A Chien search finds its
+        roots, and erasure_decode fills them; its checks beyond the
+        filled positions stand in for a final syndrome check.  The error
+        count is the number of known positions the fill changed.  The
         result is the codeword within capability of the received word
         when there is one, and None otherwise: beyond capability a
         codeword is returned only if one happens to sit that close.
@@ -138,50 +153,43 @@ class RsCode:
         if not any(syn) and not e:
             return y, 0
 
-        gamma = [1]
-        for j in e:
-            gamma = _pmul_linear(ctx, gamma, self._loc[j])
-        xi = _pmul_trunc(ctx, syn, gamma, u)
-
-        # Euclidean recursion on (z^u, xi) down past degree (u+e)/2
-        r_prev = [0] * u + [1]
-        r_cur = xi
-        t_prev: list[int] = [0]
-        t_cur: list[int] = [1]
-        while 2 * _pdeg(r_cur) >= u + len(e):
-            q, rem = _pdivmod(ctx, r_prev, r_cur)
-            r_prev, r_cur = r_cur, rem
-            t_prev, t_cur = t_cur, _padd(t_prev, _pmul(ctx, q, t_cur))
-        sigma, omega = t_cur, r_cur
-        if not sigma or sigma[0] == 0:
+        # Berlekamp-Massey from lam = old = erasure locator, length e;
+        # deg lam can sit below length, so sums run over the whole list
+        mul = ctx.mul
+        lam = old = self._locator(e)
+        length = len(e)
+        for r in range(len(e), u):
+            old = [0] + old
+            delta = 0
+            for i, c in enumerate(lam):
+                if c:
+                    delta ^= mul(c, syn[r - i])
+            if not delta:
+                continue
+            width = max(len(lam), len(old))
+            lam = lam + [0] * (width - len(lam))
+            old = old + [0] * (width - len(old))
+            nxt = [a ^ mul(delta, b) for a, b in zip(lam, old)]
+            if 2 * length <= r + len(e):
+                inv = ctx.inv(delta)
+                old = [mul(inv, c) for c in lam]
+                length = r + 1 + len(e) - length
+            lam = nxt
+        while not lam[-1]:
+            lam.pop()
+        # a locator of its full length, within capability, with all roots
+        if len(lam) - 1 != length or 2 * length > u + len(e):
             return None
-        lam = _pmul(ctx, sigma, gamma)
-
-        nerr = _pdeg(lam)
-        support = []
-        for j in range(self.n):
-            if _peval(ctx, lam, ctx.alpha_pow(-j)) == 0:
-                support.append(j)
-        if len(support) != nerr:
+        roots = [j for j in range(self.n)
+                 if not _peval(ctx, lam, ctx.alpha_pow(-j))]
+        if len(roots) != length:
             return None
 
-        dlam = _pderiv(lam)
-        errs = 0
+        out = self.erasure_decode(word, roots)
+        if out is None:
+            return None
         e_set = set(e)
-        for j in support:
-            xinv = ctx.alpha_pow(-j)
-            den = _peval(ctx, dlam, xinv)
-            if den == 0:
-                return None
-            val = ctx.mul(self._loc[j], ctx.div(_peval(ctx, omega, xinv), den))
-            if j not in e_set:
-                if val == 0:
-                    return None
-                errs += 1
-            y[j] ^= val
-        if any(self.syndromes(y)):
-            return None
-        return y, errs
+        return out, sum(1 for j in roots if j not in e_set and out[j] != word[j])
 
 
 def build_rs(ctx: FieldContext, n: int, u: int) -> RsCode:
@@ -206,85 +214,8 @@ def difference_weights(ctx: FieldContext, locs: list[int]) -> list[int]:
     return out
 
 
-# -- small polynomial helpers (coefficient lists, index == power) --------
-
-def _pdeg(p: list[int]) -> int:
-    d = len(p) - 1
-    while d >= 0 and p[d] == 0:
-        d -= 1
-    return d
-
-
-def _ptrim(p: list[int]) -> list[int]:
-    d = _pdeg(p)
-    return p[:d + 1] if d >= 0 else []
-
-
-def _padd(a: list[int], b: list[int]) -> list[int]:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, v in enumerate(b):
-        out[i] ^= v
-    return _ptrim(out)
-
-
-def _pmul(ctx: FieldContext, a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, av in enumerate(a):
-        if av:
-            for j, bv in enumerate(b):
-                if bv:
-                    out[i + j] ^= ctx.mul(av, bv)
-    return _ptrim(out)
-
-
-def _pmul_linear(ctx: FieldContext, p: list[int], x: int) -> list[int]:
-    """p(z) * (1 + x*z)."""
-    out = list(p) + [0]
-    for i in range(len(p)):
-        if p[i]:
-            out[i + 1] ^= ctx.mul(p[i], x)
-    return _ptrim(out)
-
-
-def _pmul_trunc(ctx: FieldContext, a: list[int], b: list[int], k: int) -> list[int]:
-    out = [0] * k
-    for i, av in enumerate(a):
-        if av and i < k:
-            for j, bv in enumerate(b):
-                if i + j >= k:
-                    break
-                if bv:
-                    out[i + j] ^= ctx.mul(av, bv)
-    return _ptrim(out)
-
-
-def _pdivmod(ctx: FieldContext, a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
-    db = _pdeg(b)
-    if db < 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    q = [0] * max(len(a) - db, 1)
-    inv_lead = ctx.inv(b[db])
-    for shift in range(_pdeg(a) - db, -1, -1):
-        coef = ctx.mul(a[shift + db], inv_lead)
-        if coef:
-            q[shift] = coef
-            for i in range(db + 1):
-                if b[i]:
-                    a[shift + i] ^= ctx.mul(coef, b[i])
-    return _ptrim(q), _ptrim(a)
-
-
 def _peval(ctx: FieldContext, p: list[int], x: int) -> int:
     acc = 0
     for c in reversed(p):
         acc = ctx.mul(acc, x) ^ c
     return acc
-
-
-def _pderiv(p: list[int]) -> list[int]:
-    return _ptrim([p[i] if i % 2 == 1 else 0 for i in range(1, len(p))])

@@ -132,6 +132,26 @@ def test_uncorrectable_grid_exits_one(tmp_path, capsys):
     assert report["residual"]
 
 
+@pytest.mark.parametrize("mode", ["rows", "cols", "iterative"])
+def test_clean_grid_that_is_not_a_codeword_fails(tmp_path, capsys, mode):
+    grid_file = tmp_path / "grid.json"
+    data_file = tmp_path / "data.json"
+    data_file.write_text(json.dumps([0] * 11))
+    code, _, _ = run(capsys, "encode", "--code", "C(5,[1,1,2,5])",
+                     "--data", str(data_file),
+                     "--out", str(grid_file))
+    assert code == 0
+    doc = json.loads(grid_file.read_text())
+    doc["cells"][2][3] = 1  # no cell erased, one wrong
+    grid_file.write_text(json.dumps(doc))
+    report_file = tmp_path / "report.json"
+    code, _, _ = run(capsys, "decode", str(grid_file),
+                     "--code", "C(5,[1,1,2,5])", "--mode", mode,
+                     "--report", str(report_file))
+    assert code == 1
+    assert json.loads(report_file.read_text())["status"] == "Failed"
+
+
 def test_layout_command_emits_coordinates(capsys):
     code, out, _ = run(capsys, "layout", "--code", "C(7,[1,1,1,7,7])",
                        "--layout", "balanced")

@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from epcodes.gf import build_aop_field, default_field
+from epcodes.gf import build_aop_field, build_field, default_field
 from epcodes.linalg import solve_unique
 from epcodes.rs import LengthExceedsOrder, RsCode, build_rs
 
@@ -215,7 +215,7 @@ def test_erasure_fill_matches_elimination_on_sampled_gf16_patterns():
 
 def _all_codewords(code: RsCode) -> list[list[int]]:
     """Every codeword, as combinations of a systematic basis found by
-    elimination (k = n - u, so 8**k words over GF(8))."""
+    elimination (k = n - u, so q**k words over GF(q))."""
     ctx = code.ctx
     tail = list(range(code.dimension, code.n))
     basis = []
@@ -230,21 +230,33 @@ def _all_codewords(code: RsCode) -> list[list[int]]:
     return words
 
 
-@pytest.mark.parametrize("u", range(5))
-def test_error_erasure_decode_matches_nearest_codeword(u):
+NEAREST_FIELDS = {
+    "gf8": lambda: default_field(3),
+    "aop5": lambda: build_aop_field(5),
+    "poly8": lambda: build_field(3, 0b1101, "polynomial"),
+}
+
+
+@pytest.mark.parametrize("field,n,u", [
+    *(pytest.param("gf8", min(7, u + 4), u, id=str(u)) for u in range(5)),
+    *(pytest.param("aop5", 5, u, id="aop5-%d" % u) for u in (2, 3, 4)),
+    *(pytest.param("poly8", min(7, u + 4), u, id="poly8-%d" % u)
+      for u in (1, 2, 3, 4)),
+])
+def test_error_erasure_decode_matches_nearest_codeword(field, n, u):
     # the decoder must return the nearest codeword whenever it lies
     # within 2i + e <= u of the known positions, and None otherwise
-    n = min(7, u + 4)
-    code = build_rs(default_field(3), n, u)
+    code = build_rs(NEAREST_FIELDS[field](), n, u)
+    size = code.ctx.size
     words = _all_codewords(code)
-    assert len(words) == 8 ** (n - u)
-    rng = random.Random(60 + u)
+    assert len(words) == size ** (n - u)
+    rng = random.Random(60 + u if field == "gf8" else "%s-%d" % (field, u))
     outcomes = set()
     for _ in range(120):
         sent = rng.choice(words)
         received = list(sent)
         for j in rng.sample(range(n), rng.randrange(min(n, u + 2) + 1)):
-            received[j] ^= rng.randrange(1, 8)
+            received[j] ^= rng.randrange(1, size)
         erased = sorted(rng.sample(range(n), rng.randrange(u + 1)))
         known = [j for j in range(n) if j not in erased]
         dist, nearest = min(
