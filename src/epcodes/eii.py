@@ -208,13 +208,13 @@ def row_correctable(profile: Profile, counts) -> tuple[bool, set]:
 
     Counts are sorted ascending and matched against the profile entries
     position by position; the rows behind the first position where the
-    count overshoots its budget stay uncorrected.  Ties sort by original
-    row index so the outcome is deterministic.
+    count overshoots its budget stay uncorrected.  The sort is stable, so
+    ties keep their row order and the outcome is deterministic.
     """
     counts = list(counts)
     if len(counts) != profile.m:
         raise ValueError("need one count per row")
-    order = sorted(range(profile.m), key=lambda r: (counts[r], r))
+    order = sorted(range(profile.m), key=counts.__getitem__)
     good = set()
     for pos, r in enumerate(order):
         if counts[r] > profile.entries[pos]:

@@ -6,6 +6,11 @@ coordinate patterns alone.  That keeps hundred-thousand-trial runs
 cheap: a trial is a random permutation of the grid cells plus a few
 evaluations of a pure correctability predicate.
 
+A pattern on an m x n grid is held as one int with bit r*n + c set for
+each erased cell (r, c).  Counting its bits under the row masks or the
+column masks gives the per-line erasure counts that row_correctable
+judges, and recovering a line clears its mask from the int.
+
 Four decoder models are supported: row decoding alone, column decoding
 alone (the transposed budgets), iterative row-column decoding, and an
 idealized locally-recoverable layout.  In that layout a group with at
@@ -20,18 +25,17 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import fsum, sqrt
+from operator import or_
 
 from .eii import EiiCode, row_correctable
-from .layout import transpose_profile
+from .layout import transpose_code
 
 ROWS_ONLY = "RowsOnly"
 COLS_ONLY = "ColsOnly"
 ITERATIVE = "Iterative"
 IDEAL_LRC = "IdealLrc"
-
-_tprofile = lru_cache(maxsize=None)(transpose_profile)
 
 
 @dataclass(frozen=True)
@@ -91,6 +95,8 @@ class DecoderModel:
         if shape is None:
             raise ValueError("the LRC model needs an explicit grid shape")
         m, n = shape
+        if m < 1:
+            raise ValueError("the grid needs at least one row, got %d" % m)
         if n != self.n_group:
             raise ValueError("group size %d does not match n_group %d"
                              % (n, self.n_group))
@@ -112,63 +118,65 @@ def correctable(model: DecoderModel, pattern, shape=None) -> bool:
     """Decide whether the erasure pattern (a set of (row, col) coords)
     is fully recoverable under the model."""
     m, n = model.grid_shape(shape)
-    rows = [set() for _ in range(m)]
+    cells = []
     for r, c in pattern:
         if not (0 <= r < m and 0 <= c < n):
             raise ValueError("coordinate (%d, %d) outside %dx%d"
                              % (r, c, m, n))
-        rows[r].add(c)
-    return _correctable_rows(model, rows, m, n)
+        cells.append(r * n + c)
+    return _clears(model, _bits(cells), m, n)
 
 
-def _correctable_rows(model: DecoderModel, rows, m: int, n: int) -> bool:
-    if model.kind == ROWS_ONLY:
-        ok, _ = row_correctable(model.code.profile,
-                                [len(s) for s in rows])
-        return ok
-    if model.kind == COLS_ONLY:
-        cols = [0] * n
-        for s in rows:
-            for c in s:
-                cols[c] += 1
-        ok, _ = row_correctable(_tprofile(model.code.profile), cols)
-        return ok
-    if model.kind == ITERATIVE:
-        return _iterative_clears(model.code.profile, rows)
+def _bits(cells) -> int:
+    """The pattern of the erased cell ids r*n + c as one int."""
+    return reduce(or_, map((1).__lshift__, cells), 0)
+
+
+@lru_cache(maxsize=None)
+def _line_masks(m: int, n: int) -> tuple[tuple, tuple]:
+    """The row masks and the column masks of an m x n pattern."""
+    row = (1 << n) - 1
+    col = sum(1 << r * n for r in range(m))
+    return (tuple(row << r * n for r in range(m)),
+            tuple(col << c for c in range(n)))
+
+
+def _counts(bits: int, lines) -> list:
+    return [(bits & line).bit_count() for line in lines]
+
+
+def _step(profile, bits: int, lines) -> int:
+    """Decode the lines as the rows of the profile's code: clear every
+    line row_correctable recovers and return what is left."""
+    ok, good = row_correctable(profile, _counts(bits, lines))
+    if ok:
+        return 0
+    for i in good:
+        bits &= ~lines[i]
+    return bits
+
+
+def _clears(model: DecoderModel, bits: int, m: int, n: int) -> bool:
+    rows, cols = _line_masks(m, n)
     if model.kind == IDEAL_LRC:
-        residual = sum(len(s) for s in rows if len(s) > model.h_local)
+        residual = sum(k for k in _counts(bits, rows) if k > model.h_local)
         return residual <= model.d_global
-    raise ValueError("unknown model kind %r" % (model.kind,))
-
-
-def _iterative_clears(profile, rows) -> bool:
-    """Alternate row and column clearing passes on the mask until the
-    grid empties or a full cycle removes nothing."""
-    tprof = _tprofile(profile)
-    rows = [set(s) for s in rows]
-    cols = [set() for _ in range(profile.n)]
-    for r, s in enumerate(rows):
-        for c in s:
-            cols[c].add(r)
-    remaining = sum(len(s) for s in rows)
-    while remaining:
-        before = remaining
-        _, good = row_correctable(profile, [len(s) for s in rows])
-        for r in good:
-            for c in rows[r]:
-                cols[c].discard(r)
-            remaining -= len(rows[r])
-            rows[r] = set()
-        if not remaining:
-            break
-        _, good = row_correctable(tprof, [len(s) for s in cols])
-        for c in good:
-            for r in cols[c]:
-                rows[r].discard(c)
-            remaining -= len(cols[c])
-            cols[c] = set()
-        if remaining == before:
-            return False
+    if model.kind == ROWS_ONLY:
+        return not _step(model.code.profile, bits, rows)
+    if model.kind == COLS_ONLY:
+        return not _step(transpose_code(model.code).profile, bits, cols)
+    if model.kind != ITERATIVE:
+        raise ValueError("unknown model kind %r" % (model.kind,))
+    # Alternate row and column steps until the grid empties or a full
+    # cycle removes nothing.
+    tprofile = transpose_code(model.code).profile
+    while bits:
+        before = bits
+        bits = _step(model.code.profile, bits, rows)
+        if bits:
+            bits = _step(tprofile, bits, cols)
+            if bits == before:
+                return False
     return True
 
 
@@ -213,8 +221,9 @@ def mean_erasures_to_failure(model: DecoderModel, shape=None,
     first becomes uncorrectable.
 
     Each trial permutes the mn cells and reports the 1-based length of
-    the shortest uncorrectable prefix.  Correctability is monotone
-    (erasing more never helps), so the cutoff is found by bisection.
+    the shortest uncorrectable prefix, or mn + 1 when even the whole
+    grid is correctable.  Correctability is monotone (erasing more
+    never helps), so the cutoff is found by bisection over 1..mn+1.
     The histogram maps that length to its trial count.
     """
     if trials < 1:
@@ -225,27 +234,17 @@ def mean_erasures_to_failure(model: DecoderModel, shape=None,
     histogram: dict[int, int] = {}
     for t in range(trials):
         perm = _shuffled_cells(_trial_rng(seed, t), total, total)
-        lo, hi = 1, total
-        if _prefix_ok(model, perm, total, m, n):
-            cutoff = total + 1
-        else:
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if _prefix_ok(model, perm, mid, m, n):
-                    lo = mid + 1
-                else:
-                    hi = mid
-            cutoff = lo
+        lo, hi = 1, total + 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if _clears(model, _bits(perm[:mid]), m, n):
+                lo = mid + 1
+            else:
+                hi = mid
+        cutoff = lo
         samples.append(float(cutoff))
         histogram[cutoff] = histogram.get(cutoff, 0) + 1
     return _summary(samples, seed, histogram)
-
-
-def _prefix_ok(model: DecoderModel, perm, count: int, m: int, n: int) -> bool:
-    rows = [set() for _ in range(m)]
-    for cid in perm[:count]:
-        rows[cid // n].add(cid % n)
-    return _correctable_rows(model, rows, m, n)
 
 
 def correction_probability(model: DecoderModel, num_erasures: int,
@@ -263,10 +262,7 @@ def correction_probability(model: DecoderModel, num_erasures: int,
     samples = []
     for t in range(trials):
         cells = _shuffled_cells(_trial_rng(seed, t), total, num_erasures)
-        rows = [set() for _ in range(m)]
-        for cid in cells:
-            rows[cid // n].add(cid % n)
-        samples.append(1.0 if _correctable_rows(model, rows, m, n) else 0.0)
+        samples.append(1.0 if _clears(model, _bits(cells), m, n) else 0.0)
     return _summary(samples, seed)
 
 

@@ -379,13 +379,59 @@ C_5X7 = EiiCode(Profile((1, 2, 3, 6, 6), 7), GF8)
 C_8X8 = EiiCode(Profile((2, 3, 3, 4, 4, 5, 5, 6), 8), GF16)
 
 
+def _line_survival(budgets, cells):
+    """Exact P(j uniformly random erased cells are correctable), j = 0..N,
+    when N = len(budgets) * cells cells form lines of `cells` cells that
+    are decoded once each, under the sorted-domination rule restated
+    here without calling sim.
+
+    The lines all recover exactly when their erasure counts, sorted
+    ascending, sit under the ascending budgets position by position.
+    The loop walks the sorted count vectors: one stands for as many
+    orderings of its counts as the multinomial allows, and each ordering
+    e for the product of C(cells, e_i) patterns.  Dividing the survivors
+    of size j by C(N, j) gives the probability.
+    """
+    lines = len(budgets)
+    survivors = [0] * (lines * cells + 1)
+    for counts in itertools.combinations_with_replacement(range(cells + 1),
+                                                          lines):
+        if all(e <= b for e, b in zip(counts, budgets)):
+            orderings = math.factorial(lines)
+            for e in set(counts):
+                orderings //= math.factorial(counts.count(e))
+            survivors[sum(counts)] += orderings * math.prod(
+                math.comb(cells, e) for e in counts)
+    return [Fraction(survivors[j], math.comb(lines * cells, j))
+            for j in range(lines * cells + 1)]
+
+
+# Exact rows-only and cols-only references for C_5X7: rows are 5 lines
+# of 7 cells under the profile, columns 7 lines of 5 cells under the
+# transposed profile.  As for the LRC below, E[cutoff] is the sum of
+# P(j survive) over j.  Each seeded estimate must land within four of
+# its standard errors, a window narrower than the 0.15 (mean) and 0.01
+# (probability) that the iterative references keep.
+ROWS_SURVIVAL = _line_survival(C_5X7.profile.entries, 7)
+COLS_SURVIVAL = _line_survival(transpose_profile(C_5X7.profile).entries, 5)
+
+
+def _assert_near_exact(got, exact, window):
+    assert 4 * got.std_error <= window
+    assert abs(got.mean - exact) <= 4 * got.std_error
+
+
 def test_monte_carlo_mean_erasures_to_failure():
+    exact = float(sum(ROWS_SURVIVAL))
+    assert abs(exact - 14.11957) <= 1e-5
     got = mean_erasures_to_failure(DecoderModel.rows_only(C_5X7),
                                    trials=TRIALS, seed=SEED)
-    assert abs(got.mean - 14.1) <= 0.15
+    _assert_near_exact(got, exact, 0.15)
+    exact = float(sum(COLS_SURVIVAL))
+    assert abs(exact - 13.25755) <= 1e-5
     got = mean_erasures_to_failure(DecoderModel.cols_only(C_5X7),
                                    trials=TRIALS, seed=SEED)
-    assert abs(got.mean - 13.3) <= 0.15
+    _assert_near_exact(got, exact, 0.15)
     got = mean_erasures_to_failure(DecoderModel.iterative(C_5X7),
                                    trials=TRIALS, seed=SEED)
     assert abs(got.mean - 15.3) <= 0.15
@@ -395,12 +441,16 @@ def test_monte_carlo_mean_erasures_to_failure():
 
 
 def test_monte_carlo_correction_probabilities():
+    exact = float(ROWS_SURVIVAL[13])
+    assert abs(exact - 0.64264) <= 1e-5
     got = correction_probability(DecoderModel.rows_only(C_5X7), 13,
                                  trials=TRIALS, seed=SEED)
-    assert abs(got.mean - 0.64) <= 0.01
+    _assert_near_exact(got, exact, 0.01)
+    exact = float(COLS_SURVIVAL[13])
+    assert abs(exact - 0.49158) <= 1e-5
     got = correction_probability(DecoderModel.cols_only(C_5X7), 13,
                                  trials=TRIALS, seed=SEED)
-    assert abs(got.mean - 0.49) <= 0.01
+    _assert_near_exact(got, exact, 0.01)
     got = correction_probability(DecoderModel.iterative(C_5X7), 13,
                                  trials=TRIALS, seed=SEED)
     assert abs(got.mean - 0.84) <= 0.01

@@ -232,6 +232,15 @@ def test_simulate_lrc_model_needs_shape(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("shape", ["-2,8", "0,8"])
+def test_simulate_lrc_shape_without_rows_is_a_usage_error(capsys, shape):
+    code, out, err = run(capsys, "simulate", "--lrc", "8,2,23",
+                         "--shape=" + shape, "--trials", "10")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 @pytest.mark.parametrize("m,n,cells", [
     (4, 5, 5),              # cells is not a list of rows
     (1, 5, [7]),            # a row is not a list

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import math
+import random
+from functools import partial
 
 import pytest
 
-from epcodes.eii import build_eii
-from epcodes.gf import default_field
+from epcodes.eii import FULLY_CORRECTED, build_eii
+from epcodes.gf import build_aop_field, build_field, default_field
+from epcodes.layout import iterative_decode, transpose_code
 from epcodes.sim import (
     DecoderModel,
     SimResult,
@@ -35,6 +38,9 @@ def test_grid_shape_resolution():
         lrc.grid_shape()
     with pytest.raises(ValueError):
         lrc.grid_shape((8, 9))
+    for rows_count in (0, -2):
+        with pytest.raises(ValueError):
+            lrc.grid_shape((rows_count, 8))
     with pytest.raises(ValueError):
         DecoderModel.ideal_lrc(4, 4, 1)
 
@@ -95,6 +101,40 @@ def test_out_of_range_coordinate_rejected():
         correctable(DecoderModel.rows_only(CODE), [(4, 0)])
 
 
+@pytest.mark.parametrize("ctx,n,entries", [
+    (GF8, 7, (1, 2, 3, 6, 6)),
+    (build_aop_field(5), 5, (1, 2, 2, 3)),
+    (build_field(3, 0b1101, "polynomial"), 7, (1, 1, 2, 2, 4, 7)),
+    (default_field(4), 8, (2, 3, 3, 4, 4, 5, 5, 6)),
+], ids=["gf8", "aop5", "poly8", "gf16"])
+def test_models_agree_with_the_real_decoders(ctx, n, entries):
+    # the oracle says yes exactly when the decoder it stands for returns
+    # FullyCorrected, and a full correction restores the codeword
+    code = build_eii(ctx, n, entries)
+    decoders = [  # (model, decoder, whether it reads the transposed grid)
+        (DecoderModel.rows_only(code), code.decode_rows, False),
+        (DecoderModel.cols_only(code), transpose_code(code).decode_rows, True),
+        (DecoderModel.iterative(code), partial(iterative_decode, code), False),
+    ]
+    cells = [(r, c) for r in range(code.m) for c in range(n)]
+    rng = random.Random(23)
+    parity = code.profile.parity_count
+    for _ in range(150):
+        sent = code.encode([rng.randrange(ctx.size)
+                            for _ in range(code.dimension())])
+        pattern = rng.sample(cells, rng.randint(parity // 2, parity))
+        grid = sent.copy()
+        for r, c in pattern:
+            grid.cells[r][c] = rng.randrange(ctx.size)
+            grid.erase(r, c)
+        for model, decode, flip in decoders:
+            rep = decode(grid.transpose() if flip else grid)
+            full = rep.status == FULLY_CORRECTED
+            assert full == correctable(model, pattern), (model.kind, pattern)
+            if full:
+                assert rep.grid == (sent.transpose() if flip else sent)
+
+
 # -- Monte Carlo ---------------------------------------------------------
 
 def test_mean_is_deterministic_under_a_seed():
@@ -140,10 +180,46 @@ def test_correction_probability_boundaries_and_monotonicity():
         last = p
 
 
+# Literal SimResults under one seed: both drivers must reproduce them
+# exactly for every model, so a change to the pattern layer that moves
+# any trial shows here.
+PINNED = [
+    (DecoderModel.rows_only(CODE), None, 7,
+     (7.586666666666667, 0.05308190455891381,
+      {6: 32, 7: 112, 8: 110, 9: 40, 10: 6}),
+     (0.52, 0.02889260474058461)),
+    (DecoderModel.cols_only(CODE), None, 8,
+     (8.013333333333334, 0.05916048376317822,
+      {6: 17, 7: 85, 8: 94, 9: 85, 10: 19}),
+     (0.3466666666666667, 0.027522498482247464)),
+    (DecoderModel.iterative(CODE), None, 9,
+     (9.13, 0.05362344451413727, {7: 22, 8: 46, 9: 103, 10: 129}),
+     (0.43, 0.028630969970847513)),
+    (DecoderModel.ideal_lrc(5, 1, 3), (4, 5), 5,
+     (5.4366666666666665, 0.05402388780311041,
+      {4: 52, 5: 107, 6: 99, 7: 42}),
+     (0.47, 0.028863651326417047)),
+]
+
+
+@pytest.mark.parametrize("model,shape,erasures,mean,prob", PINNED,
+                         ids=[p[0].kind for p in PINNED])
+def test_pinned_results(model, shape, erasures, mean, prob):
+    res = mean_erasures_to_failure(model, shape, trials=300, seed=21)
+    assert (res.mean, res.std_error, res.histogram) == mean
+    res = correction_probability(model, erasures, shape, trials=300, seed=21)
+    assert (res.mean, res.std_error, res.histogram) == prob + (None,)
+
+
 def test_lrc_mean_runs_from_shape():
     model = DecoderModel.ideal_lrc(5, 1, 3)
     res = mean_erasures_to_failure(model, shape=(4, 5), trials=300, seed=5)
     assert 4 <= res.mean <= 15
+    # a budget that covers the whole grid never fails, so every trial
+    # reports mn + 1
+    model = DecoderModel.ideal_lrc(5, 1, 20)
+    res = mean_erasures_to_failure(model, shape=(4, 5), trials=30, seed=5)
+    assert res.histogram == {21: 30}
 
 
 # -- birthday expectation ------------------------------------------------
