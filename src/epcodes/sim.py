@@ -3,8 +3,9 @@
 Erasure recovery for a linear code depends only on which cells are
 erased, never on the symbol values, so everything here works on
 coordinate patterns alone.  That keeps hundred-thousand-trial runs
-cheap: a trial is a random permutation of the grid cells plus a few
-evaluations of a pure correctability predicate.
+cheap: a trial is a random ordering of the grid cells, drawn only as
+far as the trial reads it, plus a few evaluations of a pure
+correctability predicate.
 
 A pattern on an m x n grid is held as one int with bit r*n + c set for
 each erased cell (r, c).  Counting its bits under the row masks or the
@@ -26,6 +27,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from itertools import islice
 from math import fsum, sqrt
 from operator import or_
 
@@ -193,14 +195,29 @@ def _trial_rng(seed: int, trial: int) -> random.Random:
     return random.Random(z ^ (z >> 31))
 
 
-def _shuffled_cells(rng: random.Random, total: int, count: int) -> list:
-    """First count entries of a Fisher-Yates shuffle of range(total),
-    spelled out so the draw sequence is pinned."""
+def _prefixes(rng: random.Random, total: int):
+    """The patterns of the prefixes of a Fisher-Yates shuffle of
+    range(total): the k-th value yielded is the pattern of its first k
+    cells, starting from the empty one.
+
+    The shuffle swaps only as far as it is read.  Its swap index is
+    randrange(i, total) written out over getrandbits as CPython's
+    _randbelow draws it, so the cells depend only on the generator's
+    Mersenne Twister bits, the same however far a caller reads."""
+    getrandbits = rng.getrandbits
     pool = list(range(total))
-    for i in range(count):
-        j = rng.randrange(i, total)
-        pool[i], pool[j] = pool[j], pool[i]
-    return pool[:count]
+    bits = 0
+    yield bits
+    for i in range(total):
+        n = total - i
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        j = i + r
+        bits |= 1 << pool[j]
+        pool[j] = pool[i]  # no later step reads pool[i]
+        yield bits
 
 
 def _summary(samples, seed: int, histogram=None) -> SimResult:
@@ -220,11 +237,14 @@ def mean_erasures_to_failure(model: DecoderModel, shape=None,
     """Average count of uniformly ordered erasures at which the pattern
     first becomes uncorrectable.
 
-    Each trial permutes the mn cells and reports the 1-based length of
-    the shortest uncorrectable prefix, or mn + 1 when even the whole
-    grid is correctable.  Correctability is monotone (erasing more
-    never helps), so the cutoff is found by bisection over 1..mn+1.
-    The histogram maps that length to its trial count.
+    Each trial orders the mn cells at random and reports the 1-based
+    length of the shortest uncorrectable prefix, or mn + 1 when even
+    the whole grid is correctable.  Correctability is monotone (erasing
+    more never helps), so the cutoff is found by bisection over
+    1..mn+1, and the ordering is drawn only up to the longest prefix
+    the bisection reads.  The draws are pinned to the trial generator's
+    getrandbits, so a seed gives the same orderings on every run.  The
+    histogram maps that length to its trial count.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -233,11 +253,14 @@ def mean_erasures_to_failure(model: DecoderModel, shape=None,
     samples = []
     histogram: dict[int, int] = {}
     for t in range(trials):
-        perm = _shuffled_cells(_trial_rng(seed, t), total, total)
+        draws = _prefixes(_trial_rng(seed, t), total)
+        masks: list[int] = []
         lo, hi = 1, total + 1
         while lo < hi:
             mid = (lo + hi) // 2
-            if _clears(model, _bits(perm[:mid]), m, n):
+            if mid >= len(masks):
+                masks += islice(draws, mid + 1 - len(masks))
+            if _clears(model, masks[mid], m, n):
                 lo = mid + 1
             else:
                 hi = mid
@@ -261,8 +284,9 @@ def correction_probability(model: DecoderModel, num_erasures: int,
                          % (num_erasures, total))
     samples = []
     for t in range(trials):
-        cells = _shuffled_cells(_trial_rng(seed, t), total, num_erasures)
-        samples.append(1.0 if _clears(model, _bits(cells), m, n) else 0.0)
+        bits = next(islice(_prefixes(_trial_rng(seed, t), total),
+                           num_erasures, None))
+        samples.append(1.0 if _clears(model, bits, m, n) else 0.0)
     return _summary(samples, seed)
 
 

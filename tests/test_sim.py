@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 from functools import partial
+from itertools import islice, pairwise
 
 import pytest
 
@@ -18,6 +19,8 @@ from epcodes.sim import (
     correctable,
     correction_probability,
     mean_erasures_to_failure,
+    _prefixes,
+    _trial_rng,
 )
 
 GF8 = default_field(3)
@@ -180,6 +183,33 @@ def test_correction_probability_boundaries_and_monotonicity():
         last = p
 
 
+def _reference_permutation(seed, trial, total):
+    """The draw as a plain Fisher-Yates shuffle over randrange, kept as
+    the reference the drivers' lazy draw must reproduce."""
+    rng = _trial_rng(seed, trial)
+    pool = list(range(total))
+    for i in range(total):
+        j = rng.randrange(i, total)
+        pool[i], pool[j] = pool[j], pool[i]
+    return pool
+
+
+@pytest.mark.parametrize("total", [1, 2, 35, 64, 100])
+def test_lazy_draw_matches_randrange_fisher_yates(total):
+    # 40 (seed, trial) pairs per size, every prefix read afresh; total
+    # = 1 and the last step of every full shuffle draw below 1
+    for seed in (0, 11, 21, 2**62 + 5):
+        for trial in range(10):
+            ref = _reference_permutation(seed, trial, total)
+            masks = list(_prefixes(_trial_rng(seed, trial), total))
+            assert [(b ^ a).bit_length() - 1
+                    for a, b in pairwise(masks)] == ref
+            for k in range(total + 1):
+                draws = _prefixes(_trial_rng(seed, trial), total)
+                assert next(islice(draws, k, None)) == sum(
+                    1 << c for c in ref[:k])
+
+
 # Literal SimResults under one seed: both drivers must reproduce them
 # exactly for every model, so a change to the pattern layer that moves
 # any trial shows here.
@@ -209,6 +239,24 @@ def test_pinned_results(model, shape, erasures, mean, prob):
     assert (res.mean, res.std_error, res.histogram) == mean
     res = correction_probability(model, erasures, shape, trials=300, seed=21)
     assert (res.mean, res.std_error, res.histogram) == prob + (None,)
+
+
+@pytest.mark.parametrize("model,shape", [p[:2] for p in PINNED],
+                         ids=[p[0].kind for p in PINNED])
+def test_cutoffs_match_a_linear_scan(model, shape):
+    # every trial's first uncorrectable prefix, found by a plain scan of
+    # the reference permutation with no bisection and no lazy draw
+    m, n = model.grid_shape(shape)
+    histogram = {}
+    for t in range(200):
+        perm = _reference_permutation(21, t, m * n)
+        cutoff = next((k for k in range(1, m * n + 1)
+                       if not correctable(model, [divmod(c, n)
+                                                  for c in perm[:k]], shape)),
+                      m * n + 1)
+        histogram[cutoff] = histogram.get(cutoff, 0) + 1
+    res = mean_erasures_to_failure(model, shape, trials=200, seed=21)
+    assert res.histogram == histogram
 
 
 def test_lrc_mean_runs_from_shape():
