@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress, repeat
 
 from .gf import FieldContext
 from .linalg import ParityMatrix
@@ -168,17 +169,18 @@ class SymbolGrid:
         self.mask[row][col] = True
 
     def erased_in_row(self, row: int) -> list[int]:
-        return [c for c in range(self.n) if self.mask[row][c]]
+        return list(compress(range(self.n), self.mask[row]))
 
     def erasure_count(self) -> int:
-        return sum(sum(1 for v in row if v) for row in self.mask)
+        return sum(row.count(True) for row in self.mask)
 
     def erasure_coords(self) -> list[tuple[int, int]]:
-        return [(r, c) for r in range(self.m) for c in range(self.n)
-                if self.mask[r][c]]
+        cols = range(self.n)
+        return [(r, c) for r, row in enumerate(self.mask) if any(row)
+                for c in compress(cols, row)]
 
     def is_clean(self) -> bool:
-        return not any(any(row) for row in self.mask)
+        return not any(map(any, self.mask))
 
     def transpose(self) -> "SymbolGrid":
         cells = [[self.cells[r][c] for r in range(self.m)] for c in range(self.n)]
@@ -236,6 +238,7 @@ class EiiCode:
         self.ctx = ctx
         self._row_codes: dict[int, RsCode] = {}
         self._parity_cells: list[tuple[int, int]] | None = None
+        self._data_cells: list[tuple[int, int]] | None = None
         self._transposed: EiiCode | None = None  # see layout.transpose_code
 
     @property
@@ -274,20 +277,9 @@ class EiiCode:
             code = self.row_code(i)
             for r in range(self.profile.suffix_at(i)):
                 weights = [ctx.alpha_pow(r * j) for j in range(self.m)]
-                if not code.contains(self._combo(grid.cells, weights)):
+                if not code.contains(ctx.row_sum(weights, grid.cells)):
                     return False
         return True
-
-    def _combo(self, cells, weights) -> list[int]:
-        """sum_j weights[j] * cells[j]; rows of weight zero are skipped."""
-        mul = self.ctx.mul
-        out = [0] * self.n
-        for w, row in zip(weights, cells):
-            if w:
-                for c, v in enumerate(row):
-                    if v:
-                        out[c] ^= mul(w, v)
-        return out
 
     def isolated_combination(self, cells, target: int, pending) -> list[int]:
         """Known part of the combination that isolates row `target`.
@@ -310,7 +302,7 @@ class EiiCode:
             weights.append(q)
         scale = ctx.inv(weights[target])
         weights[target] = 0
-        return self._combo(cells, [mul(scale, w) for w in weights])
+        return ctx.row_sum([mul(scale, w) for w in weights], cells)
 
     def peel(self, grid: SymbolGrid, order, decode) -> tuple[list, int]:
         """Resolve the rows of `order` in place, last first; the rest are known.
@@ -405,9 +397,11 @@ class EiiCode:
         return self._parity_cells
 
     def data_cells(self) -> list[tuple[int, int]]:
-        parity = set(self.parity_cells())
-        return [(r, c) for r in range(self.m) for c in range(self.n)
-                if (r, c) not in parity]
+        if self._data_cells is None:
+            parity = set(self.parity_cells())
+            self._data_cells = [(r, c) for r in range(self.m)
+                                for c in range(self.n) if (r, c) not in parity]
+        return list(self._data_cells)
 
     def encode(self, data) -> SymbolGrid:
         """Fill the tail parity layout around the data symbols.
@@ -421,8 +415,11 @@ class EiiCode:
         if len(data) != k:
             raise WrongDataLength("want %d data symbols, got %d"
                                   % (k, len(data)))
-        for v in data:
-            self.ctx.check(v)
+        size = self.ctx.size
+        if not (all(map(isinstance, data, repeat(int)))
+                and min(data, default=0) >= 0 and max(data, default=0) < size):
+            for v in data:
+                self.ctx.check(v)  # raises on the first bad symbol
         grid = SymbolGrid.zeros(self.m, self.n)
         for (r, c), v in zip(self.data_cells(), data):
             grid.cells[r][c] = v

@@ -8,7 +8,11 @@ FieldContext.  Two representations are supported:
 * ``polynomial``: direct carry-less multiply and reduce, for any b.
 
 Both expose the same operations and agree elementwise, which the test
-suite checks exhaustively for small fields.
+suite checks exhaustively for small fields.  The weighted row sum that
+isolates a row of an array code switches on the representation as mul
+does: a table field of degree <= 8 multiplies a whole row by one weight
+with bytes.translate through that weight's 256-byte product table, and
+any other field multiplies symbol by symbol.
 
 The context designates a generator ``alpha`` used to index code
 positions.  For a generic modulus alpha is x when x is primitive and
@@ -104,6 +108,12 @@ class FieldContext:
         self.size = 1 << degree
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
+        # per weight, its product table for row_sum, built on first use
+        self._byte_tables: dict[int, bytes] = {}
+        # per (n, u), the syndrome tables that RS codes over this context
+        # share (see rs.RsCode.parity_check); plain ints only, so nothing
+        # cached here refers back to the context
+        self.syndrome_tables: dict[tuple[int, int], list] = {}
 
         if representation == "table":
             self._build_tables()
@@ -203,6 +213,41 @@ class FieldContext:
             a = self.mul(a, a)
             e >>= 1
         return out
+
+    def row_sum(self, weights, rows) -> list[int]:
+        """sum_j weights[j] * rows[j] over equal-length rows of elements.
+
+        Zero weights and all-zero rows are skipped.  On a table field of
+        degree <= 8 each row is multiplied at once: as bytes, through
+        bytes.translate with the weight's product table, and the products
+        are added as little-endian ints by one XOR.
+        """
+        n = len(rows[0])
+        if self._exp is not None and self.degree <= 8:
+            tables = self._byte_tables
+            acc = 0
+            for w, row in zip(weights, rows):
+                if w and any(row):
+                    tab = tables.get(w)
+                    if tab is None:
+                        tab = tables[w] = self._product_table(w)
+                    acc ^= int.from_bytes(bytes(row).translate(tab), "little")
+            return list(acc.to_bytes(n, "little"))
+        mul = self.mul
+        out = [0] * n
+        for w, row in zip(weights, rows):
+            if w:
+                for c, v in enumerate(row):
+                    if v:
+                        out[c] ^= mul(w, v)
+        return out
+
+    def _product_table(self, w: int) -> bytes:
+        """w * v at index v, zero-padded to the 256 entries translate needs."""
+        exp, log = self._exp, self._log
+        lw = log[w]
+        products = [0] + [exp[lw + log[v]] for v in range(1, self.size)]
+        return bytes(products) + bytes(256 - self.size)
 
     def alpha_pow(self, e: int) -> int:
         """alpha**e for any sign of e; negative powers go through 1/alpha."""

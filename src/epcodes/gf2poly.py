@@ -170,7 +170,14 @@ def equal_degree_factor(f: int, d: int, seed: int = 2) -> int:
 
 
 def smallest_factor(f: int, d: int) -> int:
-    """Smallest-valued irreducible degree-d factor, for small d by trial division."""
+    """An irreducible degree-d factor of f.
+
+    For d <= 20 trial division returns the smallest-valued one.  Beyond
+    that, equal-degree splitting returns a degree-d factor, not
+    necessarily the smallest.  It needs every irreducible factor of f to
+    have degree d, as those of the all-ones polynomial for a prime p do
+    with d = ord_p(2).
+    """
     if d <= 20:
         for cand in range((1 << d) | 1, 1 << (d + 1), 2):
             if mod(f, cand) == 0:

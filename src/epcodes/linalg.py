@@ -2,13 +2,19 @@
 
 Matrices are lists of equal-length rows of ints.  Dense Gaussian
 elimination over GF(2^b) is the reference solve that decoders and tests
-trust.  For search, a parity matrix also expands each GF(2^b) column
-into b GF(2) columns packed into Python ints; rank and kernel questions
-then reduce to XOR elimination, which is what the minimum-distance
-search runs on.
+trust.  A parity matrix also expands each GF(2^b) column into b GF(2)
+columns packed into Python ints.  Rank and kernel questions then reduce
+to XOR elimination, which is what the minimum-distance search runs on.
+Syndromes run on the same packed columns.  A syndrome is linear over
+GF(2) in the bits of the word, so per column and per 8-bit chunk of a
+symbol a table holds the packed contribution to all checks, and a
+syndrome costs one lookup and XOR per column and chunk.
 """
 
 from __future__ import annotations
+
+from functools import reduce
+from operator import getitem, xor
 
 from .gf import FieldContext
 
@@ -25,20 +31,23 @@ class ParityMatrix:
             if len(r) != self.num_cols:
                 raise ValueError("ragged parity matrix")
         self._packed: list[list[int]] | None = None
+        # filled in place once built, so a caller may hand in a list that
+        # other matrices with the same rows share
+        self._tables: list[list[list[int]]] = []
 
     def syndrome(self, word: list[int]) -> list[int]:
         if len(word) != self.num_cols:
             raise ValueError("word length %d != %d columns"
                              % (len(word), self.num_cols))
-        mul = self.ctx.mul
-        live = [(c, w) for c, w in enumerate(word) if w]
-        out = []
-        for row in self.rows:
-            acc = 0
-            for c, w in live:
-                acc ^= mul(row[c], w)
-            out.append(acc)
-        return out
+        if not any(word):
+            return [0] * self.num_rows
+        b = self.ctx.degree
+        acc = 0
+        for k, tables in enumerate(self._syndrome_tables()):
+            chunk = word if b <= 8 else [w >> (8 * k) & 255 for w in word]
+            acc ^= reduce(xor, map(getitem, tables, chunk))
+        lane = (1 << b) - 1
+        return [acc >> (r * b) & lane for r in range(self.num_rows)]
 
     def rank(self) -> int:
         return rank(self.ctx, self.rows)
@@ -67,6 +76,28 @@ class ParityMatrix:
                 cols.append(slots)
             self._packed = cols
         return self._packed
+
+    def _syndrome_tables(self) -> list[list[list[int]]]:
+        """Per 8-bit chunk k of a symbol, per column, a lookup table.
+
+        Entry x of table [k][j] is the packed syndrome, laid out as in
+        packed_columns, of the word that holds x << 8k in column j and
+        zeros elsewhere; by linearity it is the XOR of slots 8k + i of
+        column j over the set bits i of x.
+        """
+        if not self._tables:
+            cols = self.packed_columns()
+            self._tables.extend([_subset_xors(slots[lo:lo + 8]) for slots in cols]
+                                for lo in range(0, self.ctx.degree, 8))
+        return self._tables
+
+
+def _subset_xors(slots: list[int]) -> list[int]:
+    """Entry x is the XOR of slots[i] over the set bits i of x."""
+    out = [0]
+    for s in slots:
+        out += [x ^ s for x in out]
+    return out
 
 
 def rref(ctx: FieldContext, rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:

@@ -56,6 +56,9 @@ class RsCode:
             rows = [[ctx.alpha_pow(r * j) for j in range(self.n)]
                     for r in range(self.u)]
             self._h = ParityMatrix(ctx, rows)
+            # every code of this (n, u) over ctx has these rows, so they
+            # share one set of syndrome tables, kept on ctx as plain ints
+            self._h._tables = ctx.syndrome_tables.setdefault((self.n, self.u), [])
         return self._h
 
     def syndromes(self, word: list[int]) -> list[int]:

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 import random
+import weakref
 
 import pytest
 
@@ -23,7 +25,8 @@ from epcodes.eii import (
 )
 from epcodes import linalg
 from epcodes.epc import exhaustive_min_distance, matrix_erasure_decode
-from epcodes.gf import build_aop_field, build_field, default_field
+from epcodes.gf import (DEFAULT_MODULI, FieldContext, build_aop_field,
+                        build_field, default_field)
 from epcodes.layout import encode_balanced, iterative_decode
 from epcodes.rs import LengthExceedsOrder
 
@@ -431,3 +434,46 @@ def test_full_corrections_match_matrix_ground_truth(ctx, n, entries):
                 assert report.grid.cells == grid.cells
                 assert truth == flat
     assert full
+
+
+def _encode_and_decode(ctx):
+    code = build_eii(ctx, 8, (2, 2, 3, 4))
+    rng = random.Random(16)
+    sent = code.encode([rng.randrange(ctx.size) for _ in range(code.dimension())])
+    damaged = sent.copy()
+    for r, c in [(0, 1), (0, 6), (1, 2), (1, 3), (1, 7), (3, 0)]:
+        damaged.erase(r, c)
+        damaged.cells[r][c] = 0
+    assert iterative_decode(code, damaged).grid == sent
+    assert code.is_codeword(sent)
+    return code
+
+
+def test_cached_code_state_does_not_keep_its_context_alive():
+    # every table cached on the context is plain ints; a code kept there
+    # would close a cycle that only the collector could break
+    ctx = FieldContext(16, DEFAULT_MODULI[16])
+    code = _encode_and_decode(ctx)
+    assert ctx.syndrome_tables
+    ref = weakref.ref(ctx)
+    gc.disable()
+    try:
+        del ctx, code
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_representations_of_one_field_share_no_tables():
+    table = FieldContext(8, DEFAULT_MODULI[8], "table")
+    poly = FieldContext(8, DEFAULT_MODULI[8], "polynomial")
+    assert table == poly
+    codes = [_encode_and_decode(ctx) for ctx in (table, poly)]
+    assert table.syndrome_tables.keys() == poly.syndrome_tables.keys()
+    for key, tables in table.syndrome_tables.items():
+        assert tables is not poly.syndrome_tables[key]
+    for code, ctx in zip(codes, (table, poly)):
+        for level in code._row_codes.values():
+            assert level.ctx is ctx
+            assert level.parity_check()._tables is ctx.syndrome_tables[
+                (level.n, level.u)]

@@ -20,6 +20,7 @@ from epcodes.gf import (
     default_field,
     smallest_aop_prime,
 )
+from epcodes.linalg import ParityMatrix
 
 
 def test_gf8_multiplication_against_hand_table():
@@ -155,6 +156,18 @@ def test_all_ones_field_rejects_bad_p():
         build_aop_field(9)  # not prime
 
 
+@pytest.mark.parametrize("p,d", [(47, 23), (71, 35)])
+def test_all_ones_factor_beyond_trial_division(p, d):
+    # ord_p(2) = d > 20, so the factor comes from equal-degree splitting
+    assert p2.order_mod(2, p) == d
+    with pytest.raises(AopReducible) as info:
+        build_aop_field(p)
+    factor = info.value.factor
+    assert p2.degree(factor) == d
+    assert p2.is_irreducible(factor)
+    assert p2.mod(p2.all_ones_poly(p), factor) == 0
+
+
 def test_smallest_aop_prime_values():
     assert smallest_aop_prime(3) == 3
     assert smallest_aop_prime(4) == 5
@@ -176,3 +189,54 @@ def test_repr_and_hex_forms():
     assert ctx.modulus_hex == "0b"
     assert ctx.symbol_hex(5) == "5"
     assert default_field(8).symbol_hex(10) == "0a"
+
+
+# degree 20 is polynomial-backed with a 4-bit top chunk; degree 8 is
+# also forced onto the polynomial representation
+KERNEL_FIELDS = {
+    "gf2": lambda: default_field(1),
+    "gf8": lambda: default_field(3),
+    "gf256": lambda: default_field(8),
+    "gf65536": lambda: default_field(16),
+    "aop5": lambda: build_aop_field(5),
+    "poly20": lambda: default_field(20),
+    "poly8": lambda: build_field(8, DEFAULT_MODULI[8], "polynomial"),
+}
+
+
+def _random_symbol(ctx, rng):
+    # a third each of zero, a full-width symbol and one in the top chunk
+    top = (ctx.degree - 1) // 8 * 8
+    return rng.choice([0, rng.randrange(ctx.size),
+                       rng.randrange(ctx.size >> top) << top])
+
+
+@pytest.mark.parametrize("field", list(KERNEL_FIELDS))
+def test_table_kernels_match_scalar_multiplication(field):
+    ctx = KERNEL_FIELDS[field]()
+    if field.startswith("poly"):
+        assert ctx.representation == "polynomial"
+    rng = random.Random(field)
+    top = (ctx.degree - 1) // 8 * 8
+    for u, n in [(1, 1), (3, 5), (4, 9)]:
+        H = ParityMatrix(ctx, [[_random_symbol(ctx, rng) for _ in range(n)]
+                               for _ in range(u)])
+        words = [[0] * n, [_random_symbol(ctx, rng) for _ in range(n)],
+                 [rng.randrange(ctx.size >> top) << top for _ in range(n)]]
+        words += [[rng.randrange(ctx.size) for _ in range(n)] for _ in range(5)]
+        for word in words:
+            want = [0] * u
+            for r, row in enumerate(H.rows):
+                for h, v in zip(row, word):
+                    want[r] ^= ctx.mul(h, v)
+            assert H.syndrome(word) == want, (u, n, word)
+
+        rows = [[_random_symbol(ctx, rng) for _ in range(n)] for _ in range(6)]
+        rows[1] = [0] * n
+        for weights in ([0] * 6, [_random_symbol(ctx, rng) for _ in range(6)],
+                        [rng.randrange(ctx.size) for _ in range(6)]):
+            want = [0] * n
+            for w, row in zip(weights, rows):
+                for c, v in enumerate(row):
+                    want[c] ^= ctx.mul(w, v)
+            assert ctx.row_sum(weights, rows) == want, (weights, rows)
