@@ -204,6 +204,15 @@ class DecodeReport:
     residual: tuple
     passes: int
 
+    @classmethod
+    def of(cls, grid: SymbolGrid, corrected, passes: int) -> "DecodeReport":
+        """FullyCorrected when nothing is left erased, else
+        PartiallyCorrected when some pass made progress, else Failed."""
+        residual = tuple(grid.erasure_coords())
+        status = (FULLY_CORRECTED if not residual
+                  else PARTIALLY_CORRECTED if passes else FAILED)
+        return cls(grid, status, frozenset(corrected), residual, passes)
+
 
 def row_correctable(profile: Profile, counts) -> tuple[bool, set]:
     """Which rows decode_rows recovers for the given erasure counts.
@@ -263,12 +272,15 @@ class EiiCode:
 
     # -- membership -----------------------------------------------------
 
-    def is_codeword(self, grid: SymbolGrid) -> bool:
-        if not grid.is_clean():
-            raise HasErasures("membership is defined on fully known grids")
+    def check_shape(self, grid: SymbolGrid) -> None:
         if grid.m != self.m or grid.n != self.n:
             raise ValueError("grid shape %dx%d != code shape %dx%d"
                              % (grid.m, grid.n, self.m, self.n))
+
+    def is_codeword(self, grid: SymbolGrid) -> bool:
+        if not grid.is_clean():
+            raise HasErasures("membership is defined on fully known grids")
+        self.check_shape(grid)
         c0 = self.row_code(0)
         if not all(c0.contains(row) for row in grid.cells):
             return False
@@ -338,6 +350,26 @@ class EiiCode:
                 break
         return order, rotations
 
+    def decode_outer_rows(self, grid: SymbolGrid, rows, decode) -> list[int]:
+        """Decode each listed row in place in the outermost row code.
+
+        decode(code, word, erased) -> codeword or None, as for peel, is
+        not tried on a row with more erasures than the code's budget.
+        Returns the rows left, most erased first and then by index: the
+        order peel takes them in.
+        """
+        code = self.row_code(0)
+        left = []
+        for r in rows:
+            erased = grid.erased_in_row(r)
+            dec = (decode(code, grid.cells[r], erased)
+                   if len(erased) <= code.u else None)
+            if dec is None:
+                left.append((-len(erased), r))
+            else:
+                grid.cells[r], grid.mask[r] = dec, [False] * self.n
+        return [r for _, r in sorted(left)]
+
     # -- erasure decoding -----------------------------------------------
 
     def decode_rows(self, grid: SymbolGrid) -> DecodeReport:
@@ -350,43 +382,16 @@ class EiiCode:
         helps, and by the sorted matching of row_correctable that is
         exactly where correction stops.
         """
+        self.check_shape(grid)
         g = grid.copy()
-        before = g.erasure_count()
-        if before == 0:
-            return DecodeReport(g, FULLY_CORRECTED, frozenset(), (), 0)
-
-        u0 = self.profile.levels[0]
-        corrected: set[int] = set()
-        failed: list[int] = []
-        counts = [len(g.erased_in_row(r)) for r in range(self.m)]
-        for r in range(self.m):
-            if counts[r] == 0:
-                continue
-            if counts[r] <= u0:
-                fixed = self.row_code(0).erasure_decode(
-                    g.cells[r], g.erased_in_row(r))
-                if fixed is None:
-                    failed.append(r)
-                    continue
-                g.cells[r] = fixed
-                g.mask[r] = [False] * self.n
-                corrected.add(r)
-            else:
-                failed.append(r)
-
-        left, _ = self.peel(g, sorted(failed, key=lambda r: (-counts[r], r)),
+        dirty = [r for r in range(self.m) if any(g.mask[r])]
+        left, _ = self.peel(g, self.decode_outer_rows(g, dirty,
+                                                      RsCode.erasure_decode),
                             RsCode.erasure_decode)
-        corrected.update(set(failed) - set(left))
-
-        residual = tuple(g.erasure_coords())
-        if not residual:
-            status = FULLY_CORRECTED
-        elif corrected:
-            status = PARTIALLY_CORRECTED
-        else:
-            status = FAILED
-        passes = 1 if g.erasure_count() < before else 0
-        return DecodeReport(g, status, frozenset(corrected), residual, passes)
+        corrected = set(dirty).difference(left)
+        # rows leave the mask whole: the pass made progress exactly when
+        # it corrected a row
+        return DecodeReport.of(g, corrected, 1 if corrected else 0)
 
     # -- encoding -------------------------------------------------------
 
@@ -404,30 +409,34 @@ class EiiCode:
         return list(self._data_cells)
 
     def encode(self, data) -> SymbolGrid:
-        """Fill the tail parity layout around the data symbols.
+        """Fill the tail parity layout around the data symbols."""
+        return self.encode_cells(data, self.data_cells(), self.parity_cells())
 
-        The parity cells form a pattern decode_rows always resolves, so
-        encoding is one decode_rows of the data grid with the parity
-        cells erased.
+    def encode_cells(self, data, data_cells, parity_cells) -> SymbolGrid:
+        """The codeword with `data` in data_cells, in order, and parity in
+        parity_cells, given as (row, column) pairs.
+
+        The parity cells must form a pattern decode_rows resolves, as
+        the tail layout always does, so encoding is one decode_rows of
+        the data grid with the parity cells erased.
         """
         data = list(data)
-        k = self.dimension()
-        if len(data) != k:
+        if len(data) != len(data_cells):
             raise WrongDataLength("want %d data symbols, got %d"
-                                  % (k, len(data)))
+                                  % (len(data_cells), len(data)))
         size = self.ctx.size
         if not (all(map(isinstance, data, repeat(int)))
                 and min(data, default=0) >= 0 and max(data, default=0) < size):
             for v in data:
                 self.ctx.check(v)  # raises on the first bad symbol
         grid = SymbolGrid.zeros(self.m, self.n)
-        for (r, c), v in zip(self.data_cells(), data):
+        for (r, c), v in zip(data_cells, data):
             grid.cells[r][c] = v
-        for r, c in self.parity_cells():
+        for r, c in parity_cells:
             grid.erase(r, c)
         report = self.decode_rows(grid)
         if report.status != FULLY_CORRECTED:
-            raise AssertionError("tail layout failed to decode")
+            raise AssertionError("parity cells failed to decode")
         return report.grid
 
     # -- smallest-support codewords -------------------------------------

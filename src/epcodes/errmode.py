@@ -1,11 +1,12 @@
 """Combined error and erasure decoding for the array codes.
 
 Erasure positions are flagged by the mask; any unmasked cell may
-additionally be wrong.  Each row is first tried on its own in the
-outermost row code, which fixes i errors plus j erasures whenever
-2i + j fits inside the row budget.  The rows that resist go to
-EiiCode.peel, which isolates them one at a time, decodes each in the
-deepest nested code its size permits and rotates the order on failure.
+additionally be wrong.  The row pipeline is EiiCode's, run with the RS
+error-erasure decoder: decode_outer_rows tries each row in the outermost
+row code, which fixes i errors plus j erasures when 2i + j fits inside
+the row budget, and the rows that resist go to peel, which isolates them
+one at a time, decodes each in the deepest nested code its size permits
+and rotates the order on failure.
 
 A decode past its budget can return a wrong word, so every cyclic start
 of the order gives a candidate, and of those that pass the membership
@@ -57,19 +58,11 @@ class ErrorDecodeReport:
 def decode_errors_erasures(code: EiiCode, grid: SymbolGrid,
                            allow_fallback: bool = True) -> ErrorDecodeReport:
     """Correct errors plus masked erasures; see the module docstring."""
+    code.check_shape(grid)
     prof = code.profile
     work = grid.copy()
-    outcomes = [UNRESOLVED] * prof.m
-    failed = []
-    for r in range(prof.m):
-        dec = _decode(code.row_code(0), work.cells[r], work.erased_in_row(r))
-        if dec is None:
-            failed.append(r)
-        else:
-            work.cells[r], work.mask[r] = dec, [False] * prof.n
-            outcomes[r] = ROW_PASS
-
-    order = sorted(failed, key=lambda r: (-len(work.erased_in_row(r)), r))
+    order = code.decode_outer_rows(work, range(prof.m), _decode)
+    outcomes = [ROW_PASS] * prof.m
     k = len(order)
     first, left, rotations, best = work, order, 0, None
     if k <= prof.suffix_at(1):
@@ -91,8 +84,8 @@ def decode_errors_erasures(code: EiiCode, grid: SymbolGrid,
             if changed == 0 or 2 * changed < spare:
                 break
     for r in order:
-        if best is not None or r not in left:
-            outcomes[r] = COMBINED
+        outcomes[r] = (COMBINED if best is not None or r not in left
+                       else UNRESOLVED)
 
     if best is not None:
         return ErrorDecodeReport(best[1], CORRECTED, tuple(outcomes),

@@ -12,18 +12,10 @@ them, and a nearly uniform pattern always exists.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
-from .eii import (
-    DecodeReport,
-    EiiCode,
-    FAILED,
-    FULLY_CORRECTED,
-    PARTIALLY_CORRECTED,
-    Profile,
-    SymbolGrid,
-    WrongDataLength,
-)
+from .eii import DecodeReport, EiiCode, Profile, SymbolGrid
 
 TAIL = "tail"
 BALANCED = "balanced"
@@ -64,42 +56,24 @@ def iterative_decode(code: EiiCode, grid: SymbolGrid, max_passes: int = 0) -> De
     been spent (0 means no cap).  The report counts only the passes
     that removed at least one erasure.
     """
+    code.check_shape(grid)
     work = grid.copy()
-    started_dirty = {r for r, _ in work.erasure_coords()}
+    dirty = [r for r, row in enumerate(work.mask) if any(row)]
     tcode = transpose_code(code)
-
-    passes = 0
-    attempts = 0
-    stalled = 0
-    row_turn = True
-    while not work.is_clean():
-        if max_passes and attempts >= max_passes:
-            break
-        before = work.erasure_count()
-        if row_turn:
-            work = code.decode_rows(work).grid
+    passes = attempts = stalled = 0
+    while (not work.is_clean() and stalled < 2
+           and not (max_passes and attempts >= max_passes)):
+        if attempts % 2 == 0:
+            rep = code.decode_rows(work)
+            work = rep.grid
         else:
-            work = tcode.decode_rows(work.transpose()).grid.transpose()
+            rep = tcode.decode_rows(work.transpose())
+            work = rep.grid.transpose()
         attempts += 1
-        if work.erasure_count() < before:
-            passes += 1
-            stalled = 0
-        else:
-            stalled += 1
-            if stalled >= 2:
-                break
-        row_turn = not row_turn
-
-    residual = tuple(work.erasure_coords())
-    cleaned = frozenset(r for r in started_dirty if not work.erased_in_row(r))
-    if not residual:
-        status = FULLY_CORRECTED
-    elif passes:
-        status = PARTIALLY_CORRECTED
-    else:
-        status = FAILED
-    return DecodeReport(grid=work, status=status, corrected_rows=cleaned,
-                        residual=residual, passes=passes)
+        passes += rep.passes
+        stalled = 0 if rep.passes else stalled + 1
+    return DecodeReport.of(work, [r for r in dirty if not any(work.mask[r])],
+                           passes)
 
 
 @dataclass(frozen=True)
@@ -160,6 +134,17 @@ def balanced_layout(profile: Profile) -> ParityLayout:
     return ParityLayout(m, profile.n, frozenset(pos), BALANCED)
 
 
+@functools.lru_cache(maxsize=16)
+def _balanced_cells(profile: Profile) -> tuple[tuple, tuple]:
+    """Data and parity cells of balanced_layout, as (column, row) cells of
+    the transposed grid; the data cells in the row-major order of the
+    untransposed one."""
+    parity = balanced_layout(profile).positions
+    data = tuple((c, r) for r in range(profile.m) for c in range(profile.n)
+                 if (r, c) not in parity)
+    return data, tuple((c, r) for r, c in parity)
+
+
 def encode_balanced(code: EiiCode, data) -> SymbolGrid:
     """Systematic encoding with the balanced parity placement.
 
@@ -168,20 +153,6 @@ def encode_balanced(code: EiiCode, data) -> SymbolGrid:
     pass of the transposed code.  The construction guarantees that
     pass always succeeds and that the result is a codeword.
     """
-    prof = code.profile
-    if len(data) != prof.dimension():
-        raise WrongDataLength(
-            f"expected {prof.dimension()} data symbols, got {len(data)}")
-    layout = balanced_layout(prof)
-    grid = SymbolGrid.zeros(prof.m, prof.n)
-    feed = iter(data)
-    for r in range(prof.m):
-        for c in range(prof.n):
-            if (r, c) in layout.positions:
-                grid.erase(r, c)
-            else:
-                grid.cells[r][c] = code.ctx.check(next(feed))
-    report = transpose_code(code).decode_rows(grid.transpose())
-    if report.status != FULLY_CORRECTED:
-        raise AssertionError("balanced parity pattern failed to resolve")
-    return report.grid.transpose()
+    data_cells, parity_cells = _balanced_cells(code.profile)
+    return transpose_code(code).encode_cells(data, data_cells,
+                                             parity_cells).transpose()

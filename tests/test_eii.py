@@ -25,8 +25,9 @@ from epcodes.eii import (
 )
 from epcodes import linalg
 from epcodes.epc import exhaustive_min_distance, matrix_erasure_decode
-from epcodes.gf import (DEFAULT_MODULI, FieldContext, build_aop_field,
-                        build_field, default_field)
+from epcodes.errmode import decode_errors_erasures
+from epcodes.gf import (DEFAULT_MODULI, ContextMismatch, FieldContext,
+                        build_aop_field, build_field, default_field)
 from epcodes.layout import encode_balanced, iterative_decode
 from epcodes.rs import LengthExceedsOrder
 
@@ -155,6 +156,45 @@ def test_encode_rejects_wrong_length():
     code = build_eii(GF8, 5, (1, 1, 2, 5))
     with pytest.raises(WrongDataLength):
         code.encode([0] * 3)
+
+
+ENCODERS = {
+    "tail": EiiCode.encode,
+    "balanced": encode_balanced,
+}
+
+
+@pytest.mark.parametrize("encoder", ENCODERS.values(), ids=ENCODERS.keys())
+def test_encoder_contract(encoder):
+    code = build_eii(GF8, 7, (1, 1, 3, 4, 7, 7))
+    k = code.dimension()
+    data = [v % 8 for v in range(k)]
+    for wrong in (data[:-1], data + [0]):
+        with pytest.raises(WrongDataLength, match="want %d data symbols" % k):
+            encoder(code, wrong)
+    for bad in (8, -1, 1.0):
+        with pytest.raises(ContextMismatch):
+            encoder(code, data[:-1] + [bad])
+    assert encoder(code, iter(data)) == encoder(code, data)
+
+
+DECODERS = {
+    "rows": EiiCode.decode_rows,
+    "iterative": iterative_decode,
+    "errors": decode_errors_erasures,
+}
+
+
+@pytest.mark.parametrize("decoder", DECODERS.values(), ids=DECODERS.keys())
+@pytest.mark.parametrize("m", [6, 4])
+@pytest.mark.parametrize("dirty", [False, True])
+def test_decoders_reject_grids_of_the_wrong_shape(decoder, m, dirty):
+    code = build_eii(GF8, 7, (1, 2, 3, 6, 6))
+    grid = SymbolGrid.zeros(m, 7)
+    if dirty:
+        grid.erase(0, 0)
+    with pytest.raises(ValueError, match="grid shape %dx7 != code shape 5x7" % m):
+        decoder(code, grid)
 
 
 def test_membership_needs_fully_known_grid():
