@@ -14,7 +14,8 @@ Cell values are hex strings; null marks an erasure (zero is a legal
 symbol, so no sentinel value could stand in for missing data).
 
 Exit codes: 0 success, 1 clean run but uncorrectable input, 2 usage or
-parse error, 3 capability limit (field too small, search too large).
+parse error or a file that cannot be read or written, 3 capability
+limit (field too small, search too large).
 """
 
 from __future__ import annotations
@@ -172,13 +173,20 @@ def grid_from_json(doc: dict) -> tuple[SymbolGrid, FieldContext]:
     return SymbolGrid(cells, mask), ctx
 
 
-def _emit(doc, out_path):
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if out_path:
-        with open(out_path, 'w') as fh:
-            fh.write(text)
-    else:
+def _write(path, text: str) -> None:
+    """Write text to the file at path, or to stdout when path is empty."""
+    if not path:
         sys.stdout.write(text)
+        return
+    try:
+        with open(path, 'w') as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise CliError("cannot write %s: %s" % (path, exc)) from None
+
+
+def _emit(doc, out_path):
+    _write(out_path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _load(path):
@@ -318,10 +326,8 @@ def cmd_bound(args) -> int:
         except EmptyRange:
             rows.append((g, "-"))
     if args.out:
-        with open(args.out, 'w') as fh:
-            fh.write("g,bound\n")
-            for g, d in rows:
-                fh.write("%d,%s\n" % (g, d))
+        _write(args.out, "g,bound\n"
+               + "".join("%d,%s\n" % (g, d) for g, d in rows))
     else:
         print("g bound")
         for g, d in rows:
@@ -367,10 +373,8 @@ def cmd_simulate(args) -> int:
               "mean": res.mean, "std_error": res.std_error}
     _emit(record, args.out)
     if args.histogram and res.histogram is not None:
-        with open(args.histogram, 'w') as fh:
-            fh.write("erasures,count\n")
-            for k in sorted(res.histogram):
-                fh.write("%d,%d\n" % (k, res.histogram[k]))
+        _write(args.histogram, "erasures,count\n" + "".join(
+            "%d,%d\n" % (k, res.histogram[k]) for k in sorted(res.histogram)))
     return 0
 
 

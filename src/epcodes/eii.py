@@ -249,6 +249,7 @@ class EiiCode:
         self._parity_cells: list[tuple[int, int]] | None = None
         self._data_cells: list[tuple[int, int]] | None = None
         self._transposed: EiiCode | None = None  # see layout.transpose_code
+        self._powers: dict[int, list[int]] = {}
 
     @property
     def m(self) -> int:
@@ -263,6 +264,13 @@ class EiiCode:
             self._row_codes[level] = build_rs(self.ctx, self.n,
                                               self.profile.levels[level])
         return self._row_codes[level]
+
+    def _combination_weights(self, r: int) -> list[int]:
+        """alpha**(r*j) for the rows j: the weights of combination r."""
+        if r not in self._powers:
+            self._powers[r] = [self.ctx.alpha_pow(r * j)
+                               for j in range(self.m)]
+        return self._powers[r]
 
     def dimension(self) -> int:
         return self.profile.dimension()
@@ -288,7 +296,7 @@ class EiiCode:
         for i in range(1, self.profile.t + 1):
             code = self.row_code(i)
             for r in range(self.profile.suffix_at(i)):
-                weights = [ctx.alpha_pow(r * j) for j in range(self.m)]
+                weights = self._combination_weights(r)
                 if not code.contains(ctx.row_sum(weights, grid.cells)):
                     return False
         return True
@@ -305,7 +313,7 @@ class EiiCode:
         """
         ctx = self.ctx
         mul = ctx.mul
-        locs = [ctx.alpha_pow(j) for j in range(self.m)]
+        locs = self._combination_weights(1)
         weights = []
         for x in locs:
             q = 1

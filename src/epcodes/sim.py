@@ -4,8 +4,12 @@ Erasure recovery for a linear code depends only on which cells are
 erased, never on the symbol values, so everything here works on
 coordinate patterns alone.  That keeps hundred-thousand-trial runs
 cheap: a trial is a random ordering of the grid cells, drawn only as
-far as the trial reads it, plus a few evaluations of a pure
-correctability predicate.
+far as the trial reads it.  The mean driver walks that ordering one
+cell at a time, keeping per-line erasure counts that decide in O(1)
+per cell whether the prefix is still correctable (see _caps); only the
+iterative model then evaluates the full correctability predicate,
+about once per trial.  The probability driver evaluates it once per
+trial.
 
 A pattern on an m x n grid is held as one int with bit r*n + c set for
 each erased cell (r, c).  Counting its bits under the row masks or the
@@ -26,8 +30,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from itertools import islice
+from functools import lru_cache
+from itertools import accumulate, islice
 from math import fsum, sqrt
 from operator import or_
 
@@ -131,7 +135,10 @@ def correctable(model: DecoderModel, pattern, shape=None) -> bool:
 
 def _bits(cells) -> int:
     """The pattern of the erased cell ids r*n + c as one int."""
-    return reduce(or_, map((1).__lshift__, cells), 0)
+    bits = 0
+    for cell in cells:
+        bits |= 1 << cell
+    return bits
 
 
 @lru_cache(maxsize=None)
@@ -185,20 +192,23 @@ def _clears(model: DecoderModel, bits: int, m: int, n: int) -> bool:
 _MASK64 = (1 << 64) - 1
 
 
-def _trial_rng(seed: int, trial: int) -> random.Random:
-    """Independent substream per (seed, trial): a 64-bit mix in the
-    splitmix64 style seeds a stdlib generator, so trials are
-    order-independent and safe to fan out."""
+def _substream(seed: int, trial: int) -> int:
+    """The generator seed of trial `trial` under `seed`: a 64-bit mix in
+    the splitmix64 style, so trials are order-independent and safe to
+    fan out."""
     z = (seed + (trial + 1) * 0x9E3779B97F4A7C15) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return random.Random(z ^ (z >> 31))
+    return z ^ (z >> 31)
 
 
-def _prefixes(rng: random.Random, total: int):
-    """The patterns of the prefixes of a Fisher-Yates shuffle of
-    range(total): the k-th value yielded is the pattern of its first k
-    cells, starting from the empty one.
+def _trial_rng(seed: int, trial: int) -> random.Random:
+    """A stdlib generator on trial `trial`'s substream."""
+    return random.Random(_substream(seed, trial))
+
+
+def _draw(rng: random.Random, total: int):
+    """The cells of a Fisher-Yates shuffle of range(total), in order.
 
     The shuffle swaps only as far as it is read.  Its swap index is
     randrange(i, total) written out over getrandbits as CPython's
@@ -206,8 +216,6 @@ def _prefixes(rng: random.Random, total: int):
     Mersenne Twister bits, the same however far a caller reads."""
     getrandbits = rng.getrandbits
     pool = list(range(total))
-    bits = 0
-    yield bits
     for i in range(total):
         n = total - i
         k = n.bit_length()
@@ -215,9 +223,23 @@ def _prefixes(rng: random.Random, total: int):
         while r >= n:
             r = getrandbits(k)
         j = i + r
-        bits |= 1 << pool[j]
+        cell = pool[j]
         pool[j] = pool[i]  # no later step reads pool[i]
-        yield bits
+        yield cell
+
+
+def _trials(seed: int, trials: int, total: int):
+    """Each trial's draw, trial by trial.
+
+    One generator serves every trial: it is reseeded with the trial's
+    substream through the base class, the call random.Random.seed makes
+    for an int, so its bits are those of _trial_rng(seed, trial).  A
+    draw must therefore be read before the next one is taken."""
+    rng = random.Random()
+    reseed = super(random.Random, rng).seed
+    for t in range(trials):
+        reseed(_substream(seed, t))
+        yield _draw(rng, total)
 
 
 def _summary(samples, seed: int, histogram=None) -> SimResult:
@@ -231,6 +253,91 @@ def _summary(samples, seed: int, histogram=None) -> SimResult:
     return SimResult(trials, mean, std_error, seed, histogram)
 
 
+@lru_cache(maxsize=None)
+def _line_ids(m: int, n: int) -> tuple[tuple, tuple]:
+    """The row and the column of each cell id r*n + c."""
+    return (tuple(c // n for c in range(m * n)),
+            tuple(c % n for c in range(m * n)))
+
+
+def _caps(profile) -> tuple:
+    """cap[v] = #{profile entries >= v} for v = 0..n.
+
+    Sorted line counts sit under the sorted entries position by
+    position, the test row_correctable makes, exactly when
+    #{lines with count >= v} <= cap[v] for every v >= 1.  A cell that
+    raises its line's count to v moves only the v-th of those numbers,
+    so one comparison per drawn cell decides whether a prefix still
+    clears."""
+    return tuple(sum(e >= v for e in profile.entries)
+                 for v in range(profile.n + 1))
+
+
+def _count_cutoff(line_of, lines: int, caps, cells) -> int:
+    """The 1-based index of the first cell whose prefix fails the count
+    rule of caps, or len(line_of) + 1 if none does."""
+    counts = [0] * lines
+    room = list(caps)
+    for k, cell in enumerate(cells, 1):
+        line = line_of[cell]
+        v = counts[line] = counts[line] + 1
+        room[v] -= 1
+        if room[v] < 0:
+            return k
+    return len(line_of) + 1
+
+
+def _lrc_cutoff(model: DecoderModel, groups: int, group_of, cells) -> int:
+    """The same for the LRC residual, which a cell raises by v when its
+    group first reaches v = h_local + 1 erasures, and by one after."""
+    counts = [0] * groups
+    over, budget = model.h_local + 1, model.d_global
+    for k, cell in enumerate(cells, 1):
+        g = group_of[cell]
+        v = counts[g] = counts[g] + 1
+        if v >= over:
+            budget -= v if v == over else 1
+            if budget < 0:
+                return k
+    return len(group_of) + 1
+
+
+def _count_rules(code: EiiCode) -> tuple[tuple, tuple]:
+    """The row rule and the column rule of the code, each as
+    (the line of every cell, the number of lines, caps)."""
+    rows, cols = _line_ids(code.m, code.n)
+    return ((rows, code.m, _caps(code.profile)),
+            (cols, code.n, _caps(transpose_code(code).profile)))
+
+
+def _both_cutoff(by_rows, by_cols, cells) -> tuple[int, int]:
+    """The first prefix that the row rule and the column rule have both
+    rejected, with its pattern; (mn + 1, the whole grid) if one never
+    does.  Every shorter prefix is correctable by iterative decoding,
+    which clears whatever rows-only or cols-only clears."""
+    rows, m, rcaps = by_rows
+    cols, n, ccaps = by_cols
+    rcount, ccount = [0] * m, [0] * n
+    rroom, croom = list(rcaps), list(ccaps)
+    rows_ok = cols_ok = True
+    bits = 0
+    for k, cell in enumerate(cells, 1):
+        bits |= 1 << cell
+        if rows_ok:
+            line = rows[cell]
+            v = rcount[line] = rcount[line] + 1
+            rroom[v] -= 1
+            rows_ok = rroom[v] >= 0
+        if cols_ok:
+            line = cols[cell]
+            v = ccount[line] = ccount[line] + 1
+            croom[v] -= 1
+            cols_ok = croom[v] >= 0
+        if not (rows_ok or cols_ok):
+            return k, bits
+    return m * n + 1, bits
+
+
 def mean_erasures_to_failure(model: DecoderModel, shape=None,
                              trials: int = 100_000,
                              seed: int = 0) -> SimResult:
@@ -239,32 +346,44 @@ def mean_erasures_to_failure(model: DecoderModel, shape=None,
 
     Each trial orders the mn cells at random and reports the 1-based
     length of the shortest uncorrectable prefix, or mn + 1 when even
-    the whole grid is correctable.  Correctability is monotone (erasing
-    more never helps), so the cutoff is found by bisection over
-    1..mn+1, and the ordering is drawn only up to the longest prefix
-    the bisection reads.  The draws are pinned to the trial generator's
-    getrandbits, so a seed gives the same orderings on every run.  The
-    histogram maps that length to its trial count.
+    the whole grid is correctable.  The ordering is walked one cell at
+    a time and drawn only as far as the walk reads it; the draws are
+    pinned to the trial generator's getrandbits, so a seed gives the
+    same orderings on every run.  The histogram maps that length to its
+    trial count.
+
+    Rows-only, cols-only and the LRC keep a count per line, updated in
+    O(1) per cell, and the first prefix the count rule rejects is the
+    cutoff.  The iterative model walks the row and the column rule
+    together until both have rejected; from that prefix on, _clears
+    decides cell by cell.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     m, n = model.grid_shape(shape)
     total = m * n
+    kind = model.kind
+    if kind == IDEAL_LRC:
+        groups = _line_ids(m, n)[0]
+    elif kind in (ROWS_ONLY, COLS_ONLY, ITERATIVE):
+        by_rows, by_cols = _count_rules(model.code)
+    else:
+        raise ValueError("unknown model kind %r" % (kind,))
     samples = []
     histogram: dict[int, int] = {}
-    for t in range(trials):
-        draws = _prefixes(_trial_rng(seed, t), total)
-        masks: list[int] = []
-        lo, hi = 1, total + 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if mid >= len(masks):
-                masks += islice(draws, mid + 1 - len(masks))
-            if _clears(model, masks[mid], m, n):
-                lo = mid + 1
-            else:
-                hi = mid
-        cutoff = lo
+    for draw in _trials(seed, trials, total):
+        if kind == ROWS_ONLY:
+            cutoff = _count_cutoff(*by_rows, draw)
+        elif kind == COLS_ONLY:
+            cutoff = _count_cutoff(*by_cols, draw)
+        elif kind == IDEAL_LRC:
+            cutoff = _lrc_cutoff(model, m, groups, draw)
+        else:
+            floor, bits = _both_cutoff(by_rows, by_cols, draw)
+            prefixes = accumulate(map((1).__lshift__, draw), or_,
+                                  initial=bits)
+            cutoff = next((k for k, pattern in enumerate(prefixes, floor)
+                           if not _clears(model, pattern, m, n)), total + 1)
         samples.append(float(cutoff))
         histogram[cutoff] = histogram.get(cutoff, 0) + 1
     return _summary(samples, seed, histogram)
@@ -283,9 +402,8 @@ def correction_probability(model: DecoderModel, num_erasures: int,
         raise ValueError("num_erasures %d outside 0..%d"
                          % (num_erasures, total))
     samples = []
-    for t in range(trials):
-        bits = next(islice(_prefixes(_trial_rng(seed, t), total),
-                           num_erasures, None))
+    for draw in _trials(seed, trials, total):
+        bits = _bits(islice(draw, num_erasures))
         samples.append(1.0 if _clears(model, bits, m, n) else 0.0)
     return _summary(samples, seed)
 

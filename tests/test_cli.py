@@ -221,6 +221,33 @@ def test_simulate_probability_and_histogram(tmp_path, capsys):
     assert 0.0 <= doc["mean"] <= 1.0
 
 
+@pytest.mark.parametrize("argv", [
+    ["encode", "--code", "C(5,[1,1,2,5])", "--data", "{data}",
+     "--out", "{bad}"],
+    ["decode", "{grid}", "--code", "C(5,[1,1,2,5])", "--out", "{bad}"],
+    ["decode", "{grid}", "--code", "C(5,[1,1,2,5])", "--report", "{bad}"],
+    ["layout", "--code", "C(5,[1,1,2,5])", "--out", "{bad}"],
+    ["bound", "--epc", "5,2;8,3", "--g", "3", "--out", "{bad}"],
+    ["simulate", "--code", "C(5,[1,1,2,5])", "--trials", "5",
+     "--out", "{bad}"],
+    ["simulate", "--code", "C(5,[1,1,2,5])", "--trials", "5",
+     "--histogram", "{bad}"],
+], ids=["encode-out", "decode-out", "decode-report", "layout-out",
+        "bound-out", "simulate-out", "simulate-histogram"])
+@pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys, argv, where):
+    data = tmp_path / "data.json"
+    data.write_text(json.dumps([1] * 11))
+    grid = tmp_path / "grid.json"
+    assert run(capsys, "encode", "--code", "C(5,[1,1,2,5])",
+               "--data", str(data), "--out", str(grid))[0] == 0
+    bad = tmp_path / "missing" / "out" if where == "missing-dir" else tmp_path
+    argv = [a.format(data=data, grid=grid, bad=bad) for a in argv]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: cannot write %s" % bad)
+
+
 def test_simulate_lrc_model_needs_shape(capsys):
     code, out, _ = run(capsys, "simulate", "--lrc", "5,1,3",
                        "--shape", "4,5", "--trials", "200", "--seed", "1")

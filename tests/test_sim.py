@@ -5,13 +5,14 @@ from __future__ import annotations
 import math
 import random
 from functools import partial
-from itertools import islice, pairwise
+from itertools import combinations_with_replacement, islice, product
 
 import pytest
 
-from epcodes.eii import FULLY_CORRECTED, build_eii
+from epcodes.eii import (FULLY_CORRECTED, build_eii, make_profile,
+                         row_correctable)
 from epcodes.gf import build_aop_field, build_field, default_field
-from epcodes.layout import iterative_decode, transpose_code
+from epcodes.layout import iterative_decode, transpose_code, transpose_profile
 from epcodes.sim import (
     DecoderModel,
     SimResult,
@@ -19,8 +20,17 @@ from epcodes.sim import (
     correctable,
     correction_probability,
     mean_erasures_to_failure,
-    _prefixes,
+    _bits,
+    _both_cutoff,
+    _caps,
+    _clears,
+    _count_cutoff,
+    _count_rules,
+    _draw,
+    _line_ids,
+    _lrc_cutoff,
     _trial_rng,
+    _trials,
 )
 
 GF8 = default_field(3)
@@ -199,15 +209,16 @@ def test_lazy_draw_matches_randrange_fisher_yates(total):
     # 40 (seed, trial) pairs per size, every prefix read afresh; total
     # = 1 and the last step of every full shuffle draw below 1
     for seed in (0, 11, 21, 2**62 + 5):
-        for trial in range(10):
-            ref = _reference_permutation(seed, trial, total)
-            masks = list(_prefixes(_trial_rng(seed, trial), total))
-            assert [(b ^ a).bit_length() - 1
-                    for a, b in pairwise(masks)] == ref
+        refs = [_reference_permutation(seed, trial, total)
+                for trial in range(10)]
+        for trial, ref in enumerate(refs):
+            assert list(_draw(_trial_rng(seed, trial), total)) == ref
             for k in range(total + 1):
-                draws = _prefixes(_trial_rng(seed, trial), total)
-                assert next(islice(draws, k, None)) == sum(
-                    1 << c for c in ref[:k])
+                draw = _draw(_trial_rng(seed, trial), total)
+                assert list(islice(draw, k)) == ref[:k]
+        # the drivers' one reseeded generator gives every trial the
+        # same draw as a fresh generator on its substream
+        assert [list(draw) for draw in _trials(seed, 10, total)] == refs
 
 
 # Literal SimResults under one seed: both drivers must reproduce them
@@ -241,22 +252,78 @@ def test_pinned_results(model, shape, erasures, mean, prob):
     assert (res.mean, res.std_error, res.histogram) == prob + (None,)
 
 
-@pytest.mark.parametrize("model,shape", [p[:2] for p in PINNED],
-                         ids=[p[0].kind for p in PINNED])
+def _scan_cutoff(model, perm, shape=None):
+    """The first uncorrectable prefix of perm, by a plain scan with no
+    bisection, no lazy draw and no count rule."""
+    m, n = model.grid_shape(shape)
+    return next((k for k in range(1, m * n + 1)
+                 if not correctable(model, [divmod(c, n) for c in perm[:k]],
+                                    shape)),
+                m * n + 1)
+
+
+CODE_8X8 = build_eii(default_field(4), 8, (2, 3, 3, 4, 4, 5, 5, 6))
+SCANNED = [p[:2] for p in PINNED] + [(DecoderModel.iterative(CODE_8X8), None)]
+
+
+@pytest.mark.parametrize("model,shape", SCANNED,
+                         ids=[p[0].kind for p in PINNED] + ["Iterative8x8"])
 def test_cutoffs_match_a_linear_scan(model, shape):
     # every trial's first uncorrectable prefix, found by a plain scan of
-    # the reference permutation with no bisection and no lazy draw
+    # the reference permutation; for the iterative model the prefix both
+    # count-only models reject is a floor under it, found by both rules
     m, n = model.grid_shape(shape)
     histogram = {}
     for t in range(200):
         perm = _reference_permutation(21, t, m * n)
-        cutoff = next((k for k in range(1, m * n + 1)
-                       if not correctable(model, [divmod(c, n)
-                                                  for c in perm[:k]], shape)),
-                      m * n + 1)
+        cutoff = _scan_cutoff(model, perm, shape)
         histogram[cutoff] = histogram.get(cutoff, 0) + 1
+        if model.kind == "Iterative":
+            floor = max(_scan_cutoff(DecoderModel.rows_only(model.code), perm),
+                        _scan_cutoff(DecoderModel.cols_only(model.code), perm))
+            assert cutoff >= floor
+            got, bits = _both_cutoff(*_count_rules(model.code), iter(perm))
+            assert (got, bits) == (floor, _bits(perm[:floor]))
     res = mean_erasures_to_failure(model, shape, trials=200, seed=21)
     assert res.histogram == histogram
+
+
+@pytest.mark.parametrize("entries,n", [
+    ((1, 1, 2, 5), 5),
+    ((0, 0, 1, 3), 3),
+    (transpose_profile(make_profile((1, 2, 3, 6, 6), 7)).entries, 5),
+    ((2, 2, 2), 2),
+], ids=["1125", "zeros", "transposed-5x7", "all-parity"])
+def test_count_rule_agrees_with_row_correctable(entries, n):
+    # sorted counts sit under the sorted budgets exactly when no count
+    # threshold v holds more lines than budgets reach v; the walk that
+    # keeps those numbers one cell at a time gives the same verdict on
+    # every count vector (every sorted one for the seven-line profile)
+    profile = make_profile(entries, n)
+    m = profile.m
+    caps = _caps(profile)
+    rows, _ = _line_ids(m, n)
+    vectors = (product(range(n + 1), repeat=m) if (n + 1) ** m <= 5000
+               else combinations_with_replacement(range(n + 1), m))
+    for counts in vectors:
+        ok = row_correctable(profile, counts)[0]
+        assert ok == all(sum(c >= v for c in counts) <= caps[v]
+                         for v in range(1, n + 1)), counts
+        cells = [r * n + c for r, k in enumerate(counts) for c in range(k)]
+        assert ok == (_count_cutoff(rows, m, caps, cells) > len(cells))
+
+
+@pytest.mark.parametrize("h_local,d_global", [(0, 1), (1, 3), (2, 23), (3, 7)])
+def test_lrc_residual_walk_matches_clears(h_local, d_global):
+    # the residual the walk keeps in O(1) per cell rejects exactly the
+    # first prefix _clears rejects, on every prefix of seeded draws
+    model = DecoderModel.ideal_lrc(8, h_local, d_global)
+    rows, _ = _line_ids(8, 8)
+    for t in range(60):
+        perm = _reference_permutation(11, t, 64)
+        want = next((k for k in range(1, 65)
+                     if not _clears(model, _bits(perm[:k]), 8, 8)), 65)
+        assert _lrc_cutoff(model, 8, rows, iter(perm)) == want
 
 
 def test_lrc_mean_runs_from_shape():
