@@ -336,16 +336,19 @@ def cmd_bound(args) -> int:
 
 
 def _sim_model(args) -> tuple[DecoderModel, tuple | None, str | None]:
-    if args.lrc:
-        if not args.shape:
-            raise CliError("--lrc needs --shape m,n")
-        try:
+    try:
+        shape = args.shape and tuple(int(x) for x in args.shape.split(','))
+        if args.lrc:
             ng, h, d = (int(x) for x in args.lrc.split(','))
-            shape = tuple(int(x) for x in args.shape.split(','))
-        except ValueError:
-            raise CliError("bad --lrc or --shape value") from None
-        if len(shape) != 2:
-            raise CliError("--shape wants two integers m,n")
+    except ValueError:
+        raise CliError("bad --lrc or --shape value") from None
+    if shape and len(shape) != 2:
+        raise CliError("--shape wants two integers m,n")
+    if args.lrc:
+        if args.code or args.mode:
+            raise CliError("--lrc is its own model: drop --code and --mode")
+        if not shape:
+            raise CliError("--lrc needs --shape m,n")
         return DecoderModel.ideal_lrc(ng, h, d), shape, None
     if not args.code:
         raise CliError("simulate needs --code or --lrc")
@@ -353,11 +356,13 @@ def _sim_model(args) -> tuple[DecoderModel, tuple | None, str | None]:
     code = EiiCode(profile, auto_field(profile))
     maker = {"rows": DecoderModel.rows_only,
              "cols": DecoderModel.cols_only,
-             "iterative": DecoderModel.iterative}[args.mode]
-    return maker(code), None, format_profile(profile)
+             "iterative": DecoderModel.iterative}[args.mode or "iterative"]
+    return maker(code), shape or None, format_profile(profile)
 
 
 def cmd_simulate(args) -> int:
+    if args.histogram and args.erasures is not None:
+        raise CliError("--histogram is of the mean run: drop --erasures")
     model, shape, profile_text = _sim_model(args)
     if args.erasures is None:
         res = mean_erasures_to_failure(model, shape=shape,
@@ -372,7 +377,7 @@ def cmd_simulate(args) -> int:
               "trials": res.trials, "seed": res.seed,
               "mean": res.mean, "std_error": res.std_error}
     _emit(record, args.out)
-    if args.histogram and res.histogram is not None:
+    if args.histogram:
         _write(args.histogram, "erasures,count\n" + "".join(
             "%d,%d\n" % (k, res.histogram[k]) for k in sorted(res.histogram)))
     return 0
@@ -428,13 +433,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte Carlo reliability run")
     add_code(p, required=False)
     p.add_argument("--mode", choices=["rows", "cols", "iterative"],
-                   default="iterative")
+                   help="decoder for --code (default iterative)")
     p.add_argument("--lrc",
                    help='"n_group,h_local,d_global" LRC model: groups with '
                         'at most h_local erasures repair locally; up to '
                         'd_global erasures in heavier groups survive '
                         '(a budget, e.g. lrc_bound(8,2,16) = 23)')
-    p.add_argument("--shape", help='"m,n" grid shape for --lrc')
+    p.add_argument("--shape", help='"m,n" grid shape (required by --lrc)')
     p.add_argument("--erasures", type=int,
                    help="fixed erasure count: report correction probability "
                         "instead of mean erasures to failure")

@@ -4,12 +4,11 @@ Erasure recovery for a linear code depends only on which cells are
 erased, never on the symbol values, so everything here works on
 coordinate patterns alone.  That keeps hundred-thousand-trial runs
 cheap: a trial is a random ordering of the grid cells, drawn only as
-far as the trial reads it.  The mean driver walks that ordering one
-cell at a time, keeping per-line erasure counts that decide in O(1)
-per cell whether the prefix is still correctable (see _caps); only the
-iterative model then evaluates the full correctability predicate,
-about once per trial.  The probability driver evaluates it once per
-trial.
+far as the trial reads it.  Both drivers ask one question of it (see
+_cutoff): how long is the first prefix the model cannot clear?
+Per-line erasure counts answer that in O(1) per cell (see _caps); only
+the iterative model then evaluates the full correctability predicate,
+from the prefix that both count rules reject.
 
 A pattern on an m x n grid is held as one int with bit r*n + c set for
 each erased cell (r, c).  Counting its bits under the row masks or the
@@ -29,11 +28,11 @@ and tolerates up to 23 residual erasures.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import accumulate, islice
+from functools import lru_cache, partial
+from itertools import islice, tee
 from math import fsum, sqrt
-from operator import or_
 
 from .eii import EiiCode, row_correctable
 from .layout import transpose_code
@@ -273,56 +272,16 @@ def _caps(profile) -> tuple:
                  for v in range(profile.n + 1))
 
 
-def _count_cutoff(line_of, lines: int, caps, cells) -> int:
-    """The 1-based index of the first cell whose prefix fails the count
-    rule of caps, or len(line_of) + 1 if none does."""
-    counts = [0] * lines
-    room = list(caps)
-    for k, cell in enumerate(cells, 1):
-        line = line_of[cell]
-        v = counts[line] = counts[line] + 1
-        room[v] -= 1
-        if room[v] < 0:
-            return k
-    return len(line_of) + 1
-
-
-def _lrc_cutoff(model: DecoderModel, groups: int, group_of, cells) -> int:
-    """The same for the LRC residual, which a cell raises by v when its
-    group first reaches v = h_local + 1 erasures, and by one after."""
-    counts = [0] * groups
-    over, budget = model.h_local + 1, model.d_global
-    for k, cell in enumerate(cells, 1):
-        g = group_of[cell]
-        v = counts[g] = counts[g] + 1
-        if v >= over:
-            budget -= v if v == over else 1
-            if budget < 0:
-                return k
-    return len(group_of) + 1
-
-
-def _count_rules(code: EiiCode) -> tuple[tuple, tuple]:
-    """The row rule and the column rule of the code, each as
-    (the line of every cell, the number of lines, caps)."""
-    rows, cols = _line_ids(code.m, code.n)
-    return ((rows, code.m, _caps(code.profile)),
-            (cols, code.n, _caps(transpose_code(code).profile)))
-
-
-def _both_cutoff(by_rows, by_cols, cells) -> tuple[int, int]:
-    """The first prefix that the row rule and the column rule have both
-    rejected, with its pattern; (mn + 1, the whole grid) if one never
-    does.  Every shorter prefix is correctable by iterative decoding,
-    which clears whatever rows-only or cols-only clears."""
-    rows, m, rcaps = by_rows
-    cols, n, ccaps = by_cols
+def _count_cutoff(by_rows, by_cols, cells) -> int | None:
+    """The length of the first prefix of cells that both count rules
+    (the line of every cell, the number of lines, caps) reject, or None.
+    A rule given as None counts as rejected from the start."""
+    rows, m, rcaps = by_rows or ((), 0, ())
+    cols, n, ccaps = by_cols or ((), 0, ())
     rcount, ccount = [0] * m, [0] * n
     rroom, croom = list(rcaps), list(ccaps)
-    rows_ok = cols_ok = True
-    bits = 0
+    rows_ok, cols_ok = by_rows is not None, by_cols is not None
     for k, cell in enumerate(cells, 1):
-        bits |= 1 << cell
         if rows_ok:
             line = rows[cell]
             v = rcount[line] = rcount[line] + 1
@@ -334,8 +293,70 @@ def _both_cutoff(by_rows, by_cols, cells) -> tuple[int, int]:
             croom[v] -= 1
             cols_ok = croom[v] >= 0
         if not (rows_ok or cols_ok):
-            return k, bits
-    return m * n + 1, bits
+            return k
+    return None
+
+
+def _lrc_cutoff(model: DecoderModel, groups: int, group_of, cells):
+    """The same for the LRC residual, which a cell raises by v when its
+    group first reaches v = h_local + 1 erasures, and by one after."""
+    counts = [0] * groups
+    over, budget = model.h_local + 1, model.d_global
+    for k, cell in enumerate(cells, 1):
+        g = group_of[cell]
+        v = counts[g] = counts[g] + 1
+        if v >= over:
+            budget -= v if v == over else 1
+            if budget < 0:
+                return k
+    return None
+
+
+def _cutoff(model: DecoderModel, m: int, n: int):
+    """The model's cutoff(cells): the length of the first prefix of
+    cells that the model cannot clear, or None if every prefix clears.
+
+    Rows-only, cols-only and the LRC stop at the first prefix their
+    count rule rejects.  The iterative model walks both count rules to
+    the first prefix both reject, as the peel clears whatever either
+    direction alone clears, and from that floor asks _clears.
+
+    Every model clears each subset of a pattern it clears, so the cutoff
+    of a pattern's cells is None exactly when the pattern clears.  For
+    the count rules that is immediate.  For the peel, let counts fall
+    line by line and take a line row_correctable recovered at sorted
+    position p.  Below p the j-th smallest count does not rise, so it
+    still fits; from p to the line's new rank each count is at most the
+    line's old one, which fit the budget at p and every later budget.
+    So the corrected set only grows, and each step leaves of the smaller
+    pattern a subset of what it leaves of the larger.  Were the smaller
+    stuck at a nonempty residual, that residual would stay inside every
+    later residual of the larger, which would never empty either.
+    """
+    rows, cols = _line_ids(m, n)
+    if model.kind == IDEAL_LRC:
+        return partial(_lrc_cutoff, model, m, rows)
+    if model.kind not in (ROWS_ONLY, COLS_ONLY, ITERATIVE):
+        raise ValueError("unknown model kind %r" % (model.kind,))
+    by_rows = (rows, m, _caps(model.code.profile))
+    by_cols = (cols, n, _caps(transpose_code(model.code).profile))
+    if model.kind == ROWS_ONLY:
+        return partial(_count_cutoff, by_rows, None)
+    if model.kind == COLS_ONLY:
+        return partial(_count_cutoff, None, by_cols)
+
+    def cutoff(cells):
+        walked, kept = tee(cells)
+        floor = _count_cutoff(by_rows, by_cols, walked)
+        if floor is None:
+            return None
+        bits = _bits(islice(kept, floor - 1))
+        for k, cell in enumerate(kept, floor):
+            bits |= 1 << cell
+            if not _clears(model, bits, m, n):
+                return k
+        return None
+    return cutoff
 
 
 def mean_erasures_to_failure(model: DecoderModel, shape=None,
@@ -345,55 +366,27 @@ def mean_erasures_to_failure(model: DecoderModel, shape=None,
     first becomes uncorrectable.
 
     Each trial orders the mn cells at random and reports the 1-based
-    length of the shortest uncorrectable prefix, or mn + 1 when even
-    the whole grid is correctable.  The ordering is walked one cell at
-    a time and drawn only as far as the walk reads it; the draws are
-    pinned to the trial generator's getrandbits, so a seed gives the
-    same orderings on every run.  The histogram maps that length to its
+    length of the shortest uncorrectable prefix (see _cutoff), or
+    mn + 1 when even the whole grid is correctable.  The ordering is
+    drawn only as far as the cutoff reads it; the draws are pinned to
+    the trial generator's getrandbits, so a seed gives the same
+    orderings on every run.  The histogram maps that length to its
     trial count.
-
-    Rows-only, cols-only and the LRC keep a count per line, updated in
-    O(1) per cell, and the first prefix the count rule rejects is the
-    cutoff.  The iterative model walks the row and the column rule
-    together until both have rejected; from that prefix on, _clears
-    decides cell by cell.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     m, n = model.grid_shape(shape)
-    total = m * n
-    kind = model.kind
-    if kind == IDEAL_LRC:
-        groups = _line_ids(m, n)[0]
-    elif kind in (ROWS_ONLY, COLS_ONLY, ITERATIVE):
-        by_rows, by_cols = _count_rules(model.code)
-    else:
-        raise ValueError("unknown model kind %r" % (kind,))
-    samples = []
-    histogram: dict[int, int] = {}
-    for draw in _trials(seed, trials, total):
-        if kind == ROWS_ONLY:
-            cutoff = _count_cutoff(*by_rows, draw)
-        elif kind == COLS_ONLY:
-            cutoff = _count_cutoff(*by_cols, draw)
-        elif kind == IDEAL_LRC:
-            cutoff = _lrc_cutoff(model, m, groups, draw)
-        else:
-            floor, bits = _both_cutoff(by_rows, by_cols, draw)
-            prefixes = accumulate(map((1).__lshift__, draw), or_,
-                                  initial=bits)
-            cutoff = next((k for k, pattern in enumerate(prefixes, floor)
-                           if not _clears(model, pattern, m, n)), total + 1)
-        samples.append(float(cutoff))
-        histogram[cutoff] = histogram.get(cutoff, 0) + 1
-    return _summary(samples, seed, histogram)
+    cutoff = _cutoff(model, m, n)
+    cuts = [cutoff(draw) or m * n + 1 for draw in _trials(seed, trials, m * n)]
+    return _summary(cuts, seed, dict(Counter(cuts)))
 
 
 def correction_probability(model: DecoderModel, num_erasures: int,
                            shape=None, trials: int = 100_000,
                            seed: int = 0) -> SimResult:
     """Fraction of uniformly random num_erasures-cell patterns the
-    model corrects."""
+    model corrects: the first num_erasures cells of each trial's
+    ordering, corrected when no prefix of them fails (see _cutoff)."""
     if trials < 1:
         raise ValueError("need at least one trial")
     m, n = model.grid_shape(shape)
@@ -401,10 +394,9 @@ def correction_probability(model: DecoderModel, num_erasures: int,
     if not 0 <= num_erasures <= total:
         raise ValueError("num_erasures %d outside 0..%d"
                          % (num_erasures, total))
-    samples = []
-    for draw in _trials(seed, trials, total):
-        bits = _bits(islice(draw, num_erasures))
-        samples.append(1.0 if _clears(model, bits, m, n) else 0.0)
+    cutoff = _cutoff(model, m, n)
+    samples = [1.0 if cutoff(islice(draw, num_erasures)) is None else 0.0
+               for draw in _trials(seed, trials, total)]
     return _summary(samples, seed)
 
 

@@ -259,6 +259,41 @@ def test_simulate_lrc_model_needs_shape(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["--code", "C(7,[1,2,3,6,6])", "--shape", "3,3"],
+    ["--code", "C(7,[1,2,3,6,6])", "--shape", "7,5"],
+    ["--code", "C(7,[1,2,3,6,6])", "--shape", "5"],
+    ["--code", "C(7,[1,2,3,6,6])", "--mode", "cols", "--lrc", "8,2,23",
+     "--shape", "8,8"],
+    ["--code", "C(7,[1,2,3,6,6])", "--lrc", "8,2,23", "--shape", "8,8"],
+    ["--lrc", "8,2,23", "--shape", "8,8", "--mode", "rows"],
+    ["--lrc", "8,2", "--shape", "8,8"],
+    ["--code", "C(7,[1,2,3,6,6])", "--erasures", "4", "--histogram", "{h}"],
+], ids=["code-shape-3x3", "code-shape-transposed", "code-shape-one-number",
+        "code-mode-and-lrc", "code-and-lrc", "lrc-and-mode", "lrc-two-numbers",
+        "probability-histogram"])
+def test_simulate_rejects_flags_it_would_drop(tmp_path, capsys, argv):
+    # a shape that disagrees with the code, a code or mode given with the
+    # LRC model, or a histogram of a probability run, is an error rather
+    # than silently ignored
+    hist = tmp_path / "hist.csv"
+    argv = [a.format(h=hist) for a in argv]
+    code, out, err = run(capsys, "simulate", *argv, "--trials", "10")
+    assert not hist.exists()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_simulate_accepts_the_code_shape(capsys):
+    argv = ["simulate", "--code", "C(7,[1,2,3,6,6])", "--trials", "50",
+            "--seed", "4"]
+    code, out, _ = run(capsys, *argv, "--shape", "5,7")
+    assert code == 0
+    assert out == run(capsys, *argv)[1]
+    assert json.loads(out)["model"] == "Iterative"
+
+
 @pytest.mark.parametrize("shape", ["-2,8", "0,8"])
 def test_simulate_lrc_shape_without_rows_is_a_usage_error(capsys, shape):
     code, out, err = run(capsys, "simulate", "--lrc", "8,2,23",

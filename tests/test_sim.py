@@ -8,6 +8,7 @@ from functools import partial
 from itertools import combinations_with_replacement, islice, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from epcodes.eii import (FULLY_CORRECTED, build_eii, make_profile,
                          row_correctable)
@@ -21,11 +22,10 @@ from epcodes.sim import (
     correction_probability,
     mean_erasures_to_failure,
     _bits,
-    _both_cutoff,
     _caps,
     _clears,
     _count_cutoff,
-    _count_rules,
+    _cutoff,
     _draw,
     _line_ids,
     _lrc_cutoff,
@@ -262,6 +262,14 @@ def _scan_cutoff(model, perm, shape=None):
                 m * n + 1)
 
 
+def _count_rules(code):
+    """The row rule and the column rule of the code, as the count walk
+    takes them."""
+    rows, cols = _line_ids(code.m, code.n)
+    return ((rows, code.m, _caps(code.profile)),
+            (cols, code.n, _caps(transpose_code(code).profile)))
+
+
 CODE_8X8 = build_eii(default_field(4), 8, (2, 3, 3, 4, 4, 5, 5, 6))
 SCANNED = [p[:2] for p in PINNED] + [(DecoderModel.iterative(CODE_8X8), None)]
 
@@ -273,17 +281,19 @@ def test_cutoffs_match_a_linear_scan(model, shape):
     # the reference permutation; for the iterative model the prefix both
     # count-only models reject is a floor under it, found by both rules
     m, n = model.grid_shape(shape)
+    cut = _cutoff(model, m, n)
     histogram = {}
     for t in range(200):
         perm = _reference_permutation(21, t, m * n)
         cutoff = _scan_cutoff(model, perm, shape)
         histogram[cutoff] = histogram.get(cutoff, 0) + 1
+        assert (cut(iter(perm)) or m * n + 1) == cutoff
         if model.kind == "Iterative":
             floor = max(_scan_cutoff(DecoderModel.rows_only(model.code), perm),
                         _scan_cutoff(DecoderModel.cols_only(model.code), perm))
             assert cutoff >= floor
-            got, bits = _both_cutoff(*_count_rules(model.code), iter(perm))
-            assert (got, bits) == (floor, _bits(perm[:floor]))
+            got = _count_cutoff(*_count_rules(model.code), iter(perm))
+            assert (got or m * n + 1) == floor
     res = mean_erasures_to_failure(model, shape, trials=200, seed=21)
     assert res.histogram == histogram
 
@@ -310,7 +320,7 @@ def test_count_rule_agrees_with_row_correctable(entries, n):
         assert ok == all(sum(c >= v for c in counts) <= caps[v]
                          for v in range(1, n + 1)), counts
         cells = [r * n + c for r, k in enumerate(counts) for c in range(k)]
-        assert ok == (_count_cutoff(rows, m, caps, cells) > len(cells))
+        assert ok == (_count_cutoff((rows, m, caps), None, cells) is None)
 
 
 @pytest.mark.parametrize("h_local,d_global", [(0, 1), (1, 3), (2, 23), (3, 7)])
@@ -323,7 +333,51 @@ def test_lrc_residual_walk_matches_clears(h_local, d_global):
         perm = _reference_permutation(11, t, 64)
         want = next((k for k in range(1, 65)
                      if not _clears(model, _bits(perm[:k]), 8, 8)), 65)
-        assert _lrc_cutoff(model, 8, rows, iter(perm)) == want
+        assert (_lrc_cutoff(model, 8, rows, iter(perm)) or 65) == want
+
+
+MONOTONE_CODES = [
+    build_eii(GF8, 7, (1, 2, 3, 6, 6)),
+    CODE_8X8,
+    build_eii(build_aop_field(5), 5, (1, 2, 2, 3)),
+    build_eii(GF8, 6, (0, 0, 2, 3, 6)),
+]
+
+
+@pytest.mark.parametrize("code", MONOTONE_CODES,
+                         ids=["gf8-5x7", "gf16-8x8", "aop5", "zero-entry"])
+@settings(max_examples=100)
+@given(data=st.data())
+def test_every_model_clears_each_subset_of_a_cleared_pattern(code, data):
+    # the cutoff decides a k-cell pattern from its prefixes alone, which
+    # holds because each model clears every subset of what it clears;
+    # a greedily maximal cleared pattern, less any one cell, still clears
+    m, n = code.m, code.n
+    order = data.draw(st.permutations(range(m * n)))
+    for model in (DecoderModel.rows_only(code), DecoderModel.cols_only(code),
+                  DecoderModel.iterative(code),
+                  DecoderModel.ideal_lrc(n, 1, n // 2)):
+        bits = 0
+        for cell in order:
+            if _clears(model, bits | 1 << cell, m, n):
+                bits |= 1 << cell
+        for cell in order:
+            if bits >> cell & 1:
+                assert _clears(model, bits & ~(1 << cell), m, n), (
+                    model.kind, bits, cell)
+
+
+@pytest.mark.parametrize("model,shape", [p[:2] for p in PINNED],
+                         ids=[p[0].kind for p in PINNED])
+def test_probability_matches_the_oracle_on_the_first_k_cells(model, shape):
+    # the per-trial reference: ask _clears about the first k cells of
+    # each trial's draw, on the seed correction_probability gets
+    m, n = model.grid_shape(shape)
+    for k in range(m * n + 1):
+        count = sum(_clears(model, _bits(islice(draw, k)), m, n)
+                    for draw in _trials(17, 150, m * n))
+        res = correction_probability(model, k, shape, trials=150, seed=17)
+        assert res.mean == count / 150, k
 
 
 def test_lrc_mean_runs_from_shape():
