@@ -183,9 +183,7 @@ class SymbolGrid:
         return not any(map(any, self.mask))
 
     def transpose(self) -> "SymbolGrid":
-        cells = [[self.cells[r][c] for r in range(self.m)] for c in range(self.n)]
-        mask = [[self.mask[r][c] for r in range(self.m)] for c in range(self.n)]
-        return SymbolGrid(cells, mask)
+        return SymbolGrid(zip(*self.cells), zip(*self.mask))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, SymbolGrid)

@@ -110,10 +110,12 @@ class FieldContext:
         self._log: list[int] | None = None
         # per weight, its product table for row_sum, built on first use
         self._byte_tables: dict[int, bytes] = {}
-        # per (n, u), the syndrome tables that RS codes over this context
-        # share (see rs.RsCode.parity_check); plain ints only, so nothing
-        # cached here refers back to the context
+        # per (n, u), the syndrome tables and the tail encoder's rows and
+        # tables that RS codes over this context share (see
+        # rs.RsCode.parity_check and rs.RsCode._encoder); plain ints only,
+        # so nothing cached here refers back to the context
         self.syndrome_tables: dict[tuple[int, int], list] = {}
+        self.encoder_tables: dict[tuple[int, int], tuple] = {}
 
         if representation == "table":
             self._build_tables()

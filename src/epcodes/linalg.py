@@ -20,9 +20,14 @@ from .gf import FieldContext
 
 
 class ParityMatrix:
-    """A parity-check matrix bound to a field context."""
+    """A parity-check matrix bound to a field context.
 
-    def __init__(self, ctx: FieldContext, rows: list[list[int]]):
+    syndrome(word) is the matrix times the word, so the same kernel also
+    applies any other matrix, such as an RS code's systematic encoder.
+    """
+
+    def __init__(self, ctx: FieldContext, rows: list[list[int]],
+                 tables: list | None = None):
         self.ctx = ctx
         self.rows = [list(r) for r in rows]
         self.num_rows = len(self.rows)
@@ -33,7 +38,7 @@ class ParityMatrix:
         self._packed: list[list[int]] | None = None
         # filled in place once built, so a caller may hand in a list that
         # other matrices with the same rows share
-        self._tables: list[list[list[int]]] = []
+        self._tables: list[list[list[int]]] = [] if tables is None else tables
 
     def syndrome(self, word: list[int]) -> list[int]:
         if len(word) != self.num_cols:

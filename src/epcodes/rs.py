@@ -6,7 +6,9 @@ A code of length n with u parities is the set of words c satisfying
 
 which is MDS with minimum distance u+1 whenever alpha has order >= n.
 Codes over the same context nest by construction: more parities means a
-subcode.  Erasures are filled in closed form; with errors as well,
+subcode.  Erasures are filled in closed form, and the last u positions,
+where a systematic encode puts the parity, by one table-driven matrix
+product; with errors as well,
 Berlekamp-Massey seeded with the erasures locates the errata and the
 same fill supplies their values.  Decoding failures are returned as
 None, never raised.
@@ -39,6 +41,8 @@ class RsCode:
         self.n = n
         self.u = u
         self._h: ParityMatrix | None = None
+        self._f: ParityMatrix | None = None
+        self._tail = list(range(n - u, n))
         # position locators alpha**j, reused by every decode
         self._loc = [ctx.alpha_pow(j) for j in range(n)]
 
@@ -55,11 +59,35 @@ class RsCode:
             ctx = self.ctx
             rows = [[ctx.alpha_pow(r * j) for j in range(self.n)]
                     for r in range(self.u)]
-            self._h = ParityMatrix(ctx, rows)
             # every code of this (n, u) over ctx has these rows, so they
             # share one set of syndrome tables, kept on ctx as plain ints
-            self._h._tables = ctx.syndrome_tables.setdefault((self.n, self.u), [])
+            tables = ctx.syndrome_tables.setdefault((self.n, self.u), [])
+            self._h = ParityMatrix(ctx, rows, tables)
         return self._h
+
+    def _encoder(self) -> ParityMatrix:
+        """F, u x (n - u), with y[n-u:] = F * y[:n-u] for every codeword y.
+
+        Column j is the tail of the codeword that is 1 at position j and
+        0 on the rest of the first n - u.  That codeword lives on j and
+        the tail, u + 1 positions, so its values are the difference
+        weights of their locators, scaled to 1 at j.  Needs 0 < u < n.
+        """
+        if self._f is None:
+            ctx = self.ctx
+            key = (self.n, self.u)
+            if key not in ctx.encoder_tables:
+                tail = self._loc[self.dimension:]
+                cols = []
+                for x in self._loc[:self.dimension]:
+                    w = difference_weights(ctx, [x] + tail)
+                    scale = ctx.inv(w[0])
+                    cols.append([ctx.mul(scale, v) for v in w[1:]])
+                # rows and tables, shared per (n, u) like the syndrome
+                # tables, so a code built per call reuses both
+                ctx.encoder_tables[key] = (list(zip(*cols)), [])
+            self._f = ParityMatrix(ctx, *ctx.encoder_tables[key])
+        return self._f
 
     def syndromes(self, word: list[int]) -> list[int]:
         if len(word) != self.n:
@@ -94,8 +122,18 @@ class RsCode:
         erasure locator with its coefficients reversed.  The remaining
         u - e checks must then hold as well.  None when e > u or when the
         non-erased part is inconsistent with every codeword.
+
+        When the erasures are exactly the last u positions, the tail is
+        the systematic encoder applied to the rest, with no solve; a zero
+        rest needs no encoder at all.
         """
         e = sorted(set(erasures))
+        if e and e == self._tail:
+            if len(word) != self.n:
+                raise ValueError("word length %d != n=%d" % (len(word), self.n))
+            data = word[:self.dimension]
+            return data + (self._encoder().syndrome(data) if any(data)
+                           else [0] * self.u)
         if len(e) > self.u:
             return None
         y = list(word)

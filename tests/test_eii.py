@@ -494,7 +494,7 @@ def test_cached_code_state_does_not_keep_its_context_alive():
     # would close a cycle that only the collector could break
     ctx = FieldContext(16, DEFAULT_MODULI[16])
     code = _encode_and_decode(ctx)
-    assert ctx.syndrome_tables
+    assert ctx.syndrome_tables and ctx.encoder_tables
     ref = weakref.ref(ctx)
     gc.disable()
     try:
@@ -512,8 +512,27 @@ def test_representations_of_one_field_share_no_tables():
     assert table.syndrome_tables.keys() == poly.syndrome_tables.keys()
     for key, tables in table.syndrome_tables.items():
         assert tables is not poly.syndrome_tables[key]
+    assert table.encoder_tables.keys() == poly.encoder_tables.keys()
+    for key, (rows, tables) in table.encoder_tables.items():
+        assert rows == poly.encoder_tables[key][0]
+        assert tables and tables is not poly.encoder_tables[key][1]
     for code, ctx in zip(codes, (table, poly)):
         for level in code._row_codes.values():
             assert level.ctx is ctx
-            assert level.parity_check()._tables is ctx.syndrome_tables[
-                (level.n, level.u)]
+            key = (level.n, level.u)
+            assert level.parity_check()._tables is ctx.syndrome_tables[key]
+            if level._f is not None:
+                assert level._f._tables is ctx.encoder_tables[key][1]
+
+
+def test_zero_encode_builds_no_tail_tables():
+    # a zero tail fill needs no encoder, so encoding zeros on a fresh
+    # context (as a benchmark set-up does) leaves nothing on it
+    ctx = FieldContext(8, DEFAULT_MODULI[8])
+    code = build_eii(ctx, 32, (4,) * 14 + (8, 32))
+    assert code.encode([0] * code.dimension()) == SymbolGrid.zeros(16, 32)
+    assert not ctx.encoder_tables and not ctx.syndrome_tables
+    assert all(level._f is None for level in code._row_codes.values())
+    data = [1] + [0] * (code.dimension() - 1)
+    assert code.is_codeword(code.encode(data))
+    assert set(ctx.encoder_tables) == {(32, 4), (32, 8)}

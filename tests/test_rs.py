@@ -211,6 +211,34 @@ def test_erasure_fill_matches_elimination_on_sampled_gf16_patterns():
     assert outcomes == {True, False}
 
 
+TAIL_FIELDS = {
+    "gf4": (lambda: default_field(2), 3),
+    "gf16": (lambda: default_field(4), 15),
+    "gf65536": (lambda: default_field(16), 24),
+    "aop5": (lambda: build_aop_field(5), 5),
+    "poly256": (lambda: build_field(8, 0b100011101, "polynomial"), 16),
+    "gf2^20": (lambda: default_field(20), 10),
+}
+
+
+@pytest.mark.parametrize("field", TAIL_FIELDS)
+def test_tail_fill_matches_elimination(field):
+    # the last u positions are filled by the systematic encoder; the
+    # junk left under them must not reach the fill
+    make, n = TAIL_FIELDS[field]
+    ctx = make()
+    rng = random.Random("tail-" + field)
+    for u in sorted({0, 1, 2, n // 2, n - 1, n}):
+        code = build_rs(ctx, n, u)
+        tail = list(range(n - u, n))
+        for _ in range(3):
+            assert _fill_agrees(code, tail, rng) == [True, True]
+        sent = _eliminated_fill(
+            code, [rng.randrange(ctx.size) for _ in range(n)], tail)
+        junk = sent[:n - u] + [rng.randrange(1, ctx.size) for _ in tail]
+        assert code.erasure_decode(junk, tail[::-1]) == sent, u
+
+
 # -- error-erasure decode against the nearest codeword ---------------------
 
 def _all_codewords(code: RsCode) -> list[list[int]]:
