@@ -101,10 +101,7 @@ def format_profile(profile: Profile) -> str:
 def parse_field(text: str) -> FieldContext:
     """"degree" or "degree:modulushex", e.g. "4" or "4:13"."""
     head, sep, tail = text.partition(':')
-    try:
-        degree = int(head)
-    except ValueError:
-        raise CliError("bad field degree %r" % (head,)) from None
+    degree = _int(head, "field degree")
     if not sep:
         return default_field(degree)
     try:
@@ -151,11 +148,19 @@ def _symbol(val) -> int:
                        % (val,)) from None
 
 
+def _header_int(obj: dict, key: str) -> int:
+    """obj[key], which int() would also take as a bool, float or string."""
+    val = obj[key]
+    if type(val) is not int:
+        raise TypeError("%s must be an integer, got %r" % (key, val))
+    return val
+
+
 def grid_from_json(doc: dict) -> tuple[SymbolGrid, FieldContext]:
     try:
-        ctx = build_field(int(doc["field"]["degree"]),
+        ctx = build_field(_header_int(doc["field"], "degree"),
                           int(str(doc["field"]["modulus"]), 16))
-        m, n = int(doc["m"]), int(doc["n"])
+        m, n = _header_int(doc, "m"), _header_int(doc, "n")
         raw = doc["cells"]
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError("malformed grid file: %s" % (exc,)) from None
@@ -282,14 +287,17 @@ def cmd_layout(args) -> int:
     return 0
 
 
-def _parse_dim(text: str, letter: str) -> int:
-    if text.strip() == letter:
-        return GENERIC_DIM
+def _int(text: str, what: str, want: str = "an integer") -> int:
     try:
         return int(text)
     except ValueError:
-        raise CliError("bad dimension %r (want an integer or %r)"
-                       % (text, letter)) from None
+        raise CliError("bad %s %r (want %s)" % (what, text, want)) from None
+
+
+def _parse_dim(text: str, letter: str) -> int:
+    if text.strip() == letter:
+        return GENERIC_DIM
+    return _int(text, "dimension", "an integer or %r" % letter)
 
 
 def parse_epc_spec(text: str) -> tuple:
@@ -303,7 +311,8 @@ def parse_epc_spec(text: str) -> tuple:
         nn, hh = halves[1].split(',')
     except ValueError:
         raise CliError("epc spec %r needs the form m,v;n,h" % (text,)) from None
-    return (_parse_dim(mm, 'm'), int(vv), _parse_dim(nn, 'n'), int(hh))
+    return (_parse_dim(mm, 'm'), _int(vv, "parity count"), _parse_dim(nn, 'n'),
+            _int(hh, "parity count"))
 
 
 def parse_g_range(text: str) -> range:

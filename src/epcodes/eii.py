@@ -489,24 +489,20 @@ class EiiCode:
         rank equals mn minus the dimension.
         """
         ctx = self.ctx
-        prof = self.profile
+        m, n = self.m, self.n
         rows = []
-        u0 = prof.levels[0]
-        for j in range(self.m):
-            for rp in range(u0):
-                vec = [0] * (self.m * self.n)
-                for c in range(self.n):
-                    vec[j * self.n + c] = ctx.alpha_pow(rp * c)
+        for j in range(m):
+            for h in self.row_code(0).parity_check().rows:
+                vec = [0] * (m * n)
+                vec[j * n:(j + 1) * n] = h
                 rows.append(vec)
-        for i in range(1, prof.t + 1):
-            ui = prof.levels[i]
-            for r in range(prof.suffix_at(i)):
-                for rp in range(ui):
-                    vec = [0] * (self.m * self.n)
-                    for j in range(self.m):
-                        for c in range(self.n):
-                            vec[j * self.n + c] = ctx.alpha_pow(r * j + rp * c)
-                    rows.append(vec)
+        # alpha**(r*j + rp*c) = alpha**(r*j) * alpha**(rp*c): row code i's
+        # check rp, weighted per row j as in combination r
+        for i in range(1, self.profile.t + 1):
+            for r in range(self.profile.suffix_at(i)):
+                weights = self._combination_weights(r)
+                for h in self.row_code(i).parity_check().rows:
+                    rows.append([ctx.mul(w, v) for w in weights for v in h])
         return ParityMatrix(ctx, rows)
 
 

@@ -18,6 +18,10 @@ The context designates a generator ``alpha`` used to index code
 positions.  For a generic modulus alpha is x when x is primitive and
 otherwise the smallest-valued primitive element; for an all-ones-poly
 field alpha is always x, whose multiplicative order is exactly p.
+
+A table field's tables run over its smallest-valued primitive element g,
+found by the order test g**((2^b - 1)/q) != 1 for every prime q dividing
+2^b - 1; for an all-ones-poly field g is not alpha.
 """
 
 from __future__ import annotations
@@ -121,53 +125,35 @@ class FieldContext:
             self._build_tables()
 
         if alpha is None:
-            if degree == 1:
-                alpha = 1
-                alpha_order = 1
-            elif representation == "table":
+            if representation == "table":
                 # the table generator: the smallest primitive element
-                alpha = self._table_gen
-                alpha_order = self.size - 1
+                alpha, alpha_order = self._exp[1], self.size - 1
+            elif degree == 1:
+                alpha, alpha_order = 1, 1
             else:
                 # polynomial representation keeps alpha = x; its order is
                 # generally unknown without factoring 2^degree - 1.
                 alpha = 2
         self.alpha = alpha
         self.alpha_order = alpha_order
-        self._inv_alpha = self.inv(self.alpha)
 
     # -- construction helpers -------------------------------------------
 
     def _build_tables(self) -> None:
-        size = self.size
-        if size == 2:
-            self._exp = [1, 1]
-            self._log = [0, 0]
-            self._table_gen = 1
-            return
-        gen = 2
-        while True:
-            exp = [1] * (2 * (size - 1))
-            log = [0] * size
-            v = 1
-            ok = True
-            for i in range(size - 1):
-                exp[i] = v
-                if v == 1 and i > 0:
-                    ok = False  # gen's order divides i < size-1
-                    break
-                log[v] = i
-                v = p2.mod(p2.mul(v, gen), self.modulus)
-            if ok and v == 1:
-                for i in range(size - 1, 2 * (size - 1)):
-                    exp[i] = exp[i - (size - 1)]
-                self._exp = exp
-                self._log = log
-                self._table_gen = gen
-                return
-            gen += 1
-            if gen >= size:
-                raise AssertionError("no primitive element found")
+        """exp, of length 2n so that exp[1] = g even in GF(2), and log over
+        the smallest primitive element g (g = 1 in GF(2), where n = 1)."""
+        n = self.size - 1
+        f = self.modulus
+        qs = p2._prime_factors(n)
+        gen = next(g for g in range(1, self.size)
+                   if all(p2.powmod(g, n // q, f) != 1 for q in qs))
+        self._exp = exp = [0] * (2 * n)
+        self._log = log = [0] * self.size
+        v = 1
+        for i in range(n):
+            exp[i] = exp[i + n] = v
+            log[v] = i
+            v = p2.mulmod(v, gen, f)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -208,13 +194,7 @@ class FieldContext:
             return 0 if e else 1
         if self._exp is not None:
             return self._exp[(self._log[a] * e) % (self.size - 1)]
-        out = 1
-        while e:
-            if e & 1:
-                out = self.mul(out, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return out
+        return p2.powmod(a, e, self.modulus)
 
     def row_sum(self, weights, rows) -> list[int]:
         """sum_j weights[j] * rows[j] over equal-length rows of elements.
@@ -253,9 +233,7 @@ class FieldContext:
 
     def alpha_pow(self, e: int) -> int:
         """alpha**e for any sign of e; negative powers go through 1/alpha."""
-        if e >= 0:
-            return self.pow(self.alpha, e)
-        return self.pow(self._inv_alpha, -e)
+        return self.pow(self.alpha, e)
 
     def order(self, a: int, cap: int = 1 << 20) -> int:
         """Multiplicative order of a by repeated multiplication.
@@ -328,11 +306,8 @@ def build_aop_field(p: int) -> FieldContext:
     """
     if p < 3:
         raise FieldError("p must be an odd prime, got %d" % p)
-    for q in range(2, p):
-        if q * q > p:
-            break
-        if p % q == 0:
-            raise FieldError("p must be prime, got %d" % p)
+    if p2._prime_factors(p) != [p]:
+        raise FieldError("p must be prime, got %d" % p)
     f = p2.all_ones_poly(p)
     d = p2.order_mod(2, p)
     if d != p - 1:
@@ -351,8 +326,6 @@ def default_field(degree: int) -> FieldContext:
 def smallest_aop_prime(min_order: int) -> int:
     """Smallest prime p >= min_order with an irreducible all-ones polynomial."""
     p = max(3, min_order)
-    while True:
-        is_prime = p > 1 and all(p % q for q in range(2, int(p ** 0.5) + 1))
-        if is_prime and p2.order_mod(2, p) == p - 1:
-            return p
+    while not (p2._prime_factors(p) == [p] and p2.order_mod(2, p) == p - 1):
         p += 1
+    return p

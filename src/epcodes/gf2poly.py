@@ -52,6 +52,17 @@ def mulmod(a: int, b: int, f: int) -> int:
     return mod(mul(a, b), f)
 
 
+def powmod(a: int, e: int, f: int) -> int:
+    """a**e modulo f for e >= 0, by square and multiply."""
+    out = 1
+    while e:
+        if e & 1:
+            out = mulmod(out, a, f)
+        a = mulmod(a, a, f)
+        e >>= 1
+    return out
+
+
 def gcd(a: int, b: int) -> int:
     while b:
         a, b = b, mod(a, b)
@@ -91,14 +102,6 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-def _frobenius(k: int, f: int) -> int:
-    """x**(2**k) modulo f, by repeated squaring of x."""
-    h = 2
-    for _ in range(k):
-        h = mulmod(h, h, f)
-    return h
-
-
 def is_irreducible(f: int) -> bool:
     """Rabin's test for irreducibility over GF(2)."""
     b = degree(f)
@@ -108,10 +111,12 @@ def is_irreducible(f: int) -> bool:
         return True
     if f & 1 == 0:  # divisible by x
         return False
-    if _frobenius(b, f) != 2:
+    # x**(2**b) = x modulo f, and x**(2**(b/p)) - x is coprime to f for
+    # every prime p dividing b
+    if powmod(2, 1 << b, f) != 2:
         return False
     for p in _prime_factors(b):
-        if gcd(_frobenius(b // p, f) ^ 2, f) != 1:
+        if gcd(powmod(2, 1 << (b // p), f) ^ 2, f) != 1:
             return False
     return True
 

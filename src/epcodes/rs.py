@@ -215,8 +215,10 @@ class RsCode:
         # a locator of its full length, within capability, with all roots
         if len(lam) - 1 != length or 2 * length > u + len(e):
             return None
-        roots = [j for j in range(self.n)
-                 if not _peval(ctx, lam, ctx.alpha_pow(-j))]
+        # lam(1/X) = 0 exactly when lam reversed vanishes at X, since
+        # lam[0] = 1 and lam[-1] != 0
+        rev = lam[::-1]
+        roots = [j for j, x in enumerate(self._loc) if not _peval(ctx, rev, x)]
         if len(roots) != length:
             return None
 

@@ -181,6 +181,12 @@ def test_bound_table_and_csv(tmp_path, capsys):
     assert [r[1] for r in rows[1:]] == ["4", "6", "8", "9"]
 
 
+def test_bound_names_a_bad_parity_count(capsys):
+    code, _, err = run(capsys, "bound", "--epc", "3,x;3,1", "--g", "1")
+    assert code == 2
+    assert "bad parity count 'x'" in err
+
+
 def test_bound_rejects_malformed_range(capsys):
     code, _, err = run(capsys, "bound", "--epc", "5,2;8,3", "--g", "x..y")
     assert code == 2
@@ -364,15 +370,17 @@ def malformed_grid_docs(draw):
         doc["field"] = draw(st.one_of(_junk, st.integers()))
     elif kind == "degree":
         doc["field"]["degree"] = draw(st.one_of(
-            _junk, st.integers(-3, 8).filter(lambda d: d != 3)))
+            _junk, st.floats(), st.booleans(),
+            st.integers(-3, 8).filter(lambda d: d != 3)))
     elif kind == "modulus":
         # only 0xb and 0xd are irreducible of degree 3
         doc["field"]["modulus"] = draw(st.one_of(_junk, st.integers(
             0, 64).filter(lambda v: v not in (11, 13)).map("{:x}".format)))
     elif kind == "shape":
         key = draw(st.sampled_from(["m", "n"]))
-        doc[key] = draw(st.one_of(_junk, st.integers(-2, 9).filter(
-            lambda v: v != doc[key])))
+        doc[key] = draw(st.one_of(_junk, st.floats(), st.booleans(),
+                                  st.integers(-2, 9).filter(
+                                      lambda v: v != doc[key])))
     elif kind == "cells":
         doc["cells"] = draw(st.one_of(_junk, st.integers()))
     elif kind == "rows":
@@ -390,6 +398,19 @@ def malformed_grid_docs(draw):
             st.integers(8, 1 << 20).map("{:x}".format)))
         doc["cells"][draw(st.integers(0, 3))][draw(st.integers(0, 4))] = value
     return doc
+
+
+@pytest.mark.parametrize("key,value", [("m", 2.5), ("n", 5.0), ("m", True),
+                                       ("degree", 3.7), ("degree", True)])
+def test_grid_header_takes_only_json_integers(tmp_path, capsys, key, value):
+    # int() would truncate 2.5 to a 2-row grid and read true as GF(2)
+    doc = _valid_grid_doc()
+    (doc["field"] if key == "degree" else doc)[key] = value
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "decode", str(path), "--code", "C(5,[1,1,2,5])")
+    assert code == 2
+    assert "%s must be an integer" % key in err
 
 
 @settings(max_examples=150)

@@ -81,16 +81,28 @@ def test_table_alpha_is_the_smallest_primitive_element():
             v, k = ctx.mul(v, a), k + 1
         return k
 
+    def smallest_primitive(ctx):
+        full = ctx.size - 1
+        return next(a for a in range(2, ctx.size) if order(ctx, a) == full)
+
+    # every modulus up to degree 8, and the default ones above, for which
+    # x is primitive, so the walk-based reference stays cheap
     moduli = [f for deg in range(2, 9)
               for f in range(1 << deg, 2 << deg) if p2.is_irreducible(f)]
+    moduli += [DEFAULT_MODULI[deg] for deg in range(9, 17)]
     assert 0b11111 in moduli  # x has order 5 there, so alpha is not x
     for f in moduli:
         ctx = FieldContext(p2.degree(f), f, "table")
-        full = ctx.size - 1
-        smallest = next(a for a in range(2, ctx.size) if order(ctx, a) == full)
-        assert ctx.alpha == smallest, p2.to_text(f)
-        assert ctx.alpha_order == full
+        assert ctx.alpha == smallest_primitive(ctx), p2.to_text(f)
+        assert ctx.alpha_order == ctx.size - 1
     assert FieldContext(4, 0b11111, "table").alpha == 3
+    # an all-ones-poly field keeps alpha = x of order p, but its tables run
+    # over the same smallest primitive element
+    for p in (5, 11, 13):
+        ctx = build_aop_field(p)
+        gen = smallest_primitive(ctx)
+        assert ctx.alpha == 2 and ctx.alpha_order == p
+        assert ctx._exp[1] == gen and ctx._log[gen] == 1, p
 
 
 def test_table_and_polynomial_representations_agree():

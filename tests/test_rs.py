@@ -125,6 +125,31 @@ def test_error_under_an_erasure_costs_only_the_erasure():
     assert nerr == 1  # position 4 is not billed as an error
 
 
+def test_error_erasure_decode_makes_no_alpha_pow_call(monkeypatch):
+    # the Chien search runs on the code's cached locators, not on alpha**-j
+    ctx = default_field(16)
+    code = build_rs(ctx, 32, 8)
+    rng = random.Random(21)
+    erased = [0, 9]
+    words = []
+    for _ in range(5):
+        w = random_codeword(code, rng)
+        battered = list(w)
+        for j in erased:
+            battered[j] = 0
+        for j in rng.sample(range(1, 9), 3):  # 2 * 3 + 2 = u
+            battered[j] ^= rng.randrange(1, ctx.size)
+        words.append((w, battered))
+    code.parity_check()  # built once per code, not per decode
+    calls = []
+    real = type(ctx).alpha_pow
+    monkeypatch.setattr(type(ctx), "alpha_pow",
+                        lambda self, e: calls.append(e) or real(self, e))
+    for w, battered in words:
+        assert code.error_erasure_decode(battered, erased) == (w, 3)
+    assert calls == []
+
+
 def test_beyond_capability_is_none_or_some_codeword():
     code = build_rs(default_field(3), 7, 2)
     rng = random.Random(9)
