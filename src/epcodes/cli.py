@@ -21,6 +21,7 @@ limit (field too small, search too large).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -112,12 +113,11 @@ def parse_field(text: str) -> FieldContext:
 
 
 def auto_field(profile: Profile) -> FieldContext:
-    """Smallest default field whose element order covers the grid."""
+    """Smallest default field whose element order covers the grid; the
+    alpha of a default field up to degree 16 has order 2^degree - 1."""
     need = max(profile.m, profile.n)
-    for degree in range(2, 17):
-        ctx = default_field(degree)
-        if ctx.order_at_least(need):
-            return ctx
+    if need.bit_length() <= 16:
+        return default_field(max(2, need.bit_length()))
     raise CliError("no default field up to degree 16 covers order %d" % need)
 
 
@@ -136,7 +136,7 @@ def grid_to_json(grid: SymbolGrid, ctx: FieldContext) -> dict:
             "cells": cells}
 
 
-def _symbol(val) -> int:
+def _symbol(val, what: str = "symbol") -> int:
     """A symbol written as a hex string or a JSON integer (not a bool or
     a float, which int() would quietly accept)."""
     if type(val) is int:
@@ -144,8 +144,8 @@ def _symbol(val) -> int:
     try:
         return int(val, 16)
     except (TypeError, ValueError):
-        raise CliError("bad symbol %r (want a hex string or an integer)"
-                       % (val,)) from None
+        raise CliError("bad %s %r (want a hex string or an integer)"
+                       % (what, val)) from None
 
 
 def _header_int(obj: dict, key: str) -> int:
@@ -159,7 +159,7 @@ def _header_int(obj: dict, key: str) -> int:
 def grid_from_json(doc: dict) -> tuple[SymbolGrid, FieldContext]:
     try:
         ctx = build_field(_header_int(doc["field"], "degree"),
-                          int(str(doc["field"]["modulus"]), 16))
+                          _symbol(doc["field"]["modulus"], "modulus"))
         m, n = _header_int(doc, "m"), _header_int(doc, "n")
         raw = doc["cells"]
     except (KeyError, TypeError, ValueError) as exc:
@@ -392,6 +392,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="epcodes",

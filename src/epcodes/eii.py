@@ -244,8 +244,8 @@ class EiiCode:
         self.profile = profile
         self.ctx = ctx
         self._row_codes: dict[int, RsCode] = {}
-        self._parity_cells: list[tuple[int, int]] | None = None
-        self._data_cells: list[tuple[int, int]] | None = None
+        self._tail_mask = tuple((False,) * (profile.n - e) + (True,) * e
+                                for e in profile.entries)
         self._transposed: EiiCode | None = None  # see layout.transpose_code
         self._powers: dict[int, list[int]] = {}
 
@@ -402,45 +402,38 @@ class EiiCode:
     # -- encoding -------------------------------------------------------
 
     def parity_cells(self) -> list[tuple[int, int]]:
-        if self._parity_cells is None:
-            self._parity_cells = [(r, c) for r in range(self.m)
-                                  for c in self.profile.tail_parity_cols(r)]
-        return self._parity_cells
+        return [(r, c) for r in range(self.m)
+                for c in self.profile.tail_parity_cols(r)]
 
     def data_cells(self) -> list[tuple[int, int]]:
-        if self._data_cells is None:
-            parity = set(self.parity_cells())
-            self._data_cells = [(r, c) for r in range(self.m)
-                                for c in range(self.n) if (r, c) not in parity]
-        return list(self._data_cells)
+        return [(r, c) for r, e in enumerate(self.profile.entries)
+                for c in range(self.n - e)]
 
     def encode(self, data) -> SymbolGrid:
         """Fill the tail parity layout around the data symbols."""
-        return self.encode_cells(data, self.data_cells(), self.parity_cells())
+        return self.encode_around(data, self._tail_mask, self.decode_rows)
 
-    def encode_cells(self, data, data_cells, parity_cells) -> SymbolGrid:
-        """The codeword with `data` in data_cells, in order, and parity in
-        parity_cells, given as (row, column) pairs.
+    def encode_around(self, data, parity, decode) -> SymbolGrid:
+        """The codeword with `data`, in row-major order, in the cells where
+        the m x n mask `parity` is false.
 
-        The parity cells must form a pattern decode_rows resolves, as
-        the tail layout always does, so encoding is one decode_rows of
-        the data grid with the parity cells erased.
+        The grid goes to decode(grid) with the parity cells erased, and
+        decode must return a FullyCorrected report: the tail layout
+        clears in one decode_rows, the balanced one in one column pass.
         """
         data = list(data)
-        if len(data) != len(data_cells):
+        want = sum(row.count(False) for row in parity)
+        if len(data) != want:
             raise WrongDataLength("want %d data symbols, got %d"
-                                  % (len(data_cells), len(data)))
+                                  % (want, len(data)))
         size = self.ctx.size
         if not (all(map(isinstance, data, repeat(int)))
                 and min(data, default=0) >= 0 and max(data, default=0) < size):
             for v in data:
                 self.ctx.check(v)  # raises on the first bad symbol
-        grid = SymbolGrid.zeros(self.m, self.n)
-        for (r, c), v in zip(data_cells, data):
-            grid.cells[r][c] = v
-        for r, c in parity_cells:
-            grid.erase(r, c)
-        report = self.decode_rows(grid)
+        symbols = iter(data)
+        cells = [[0 if p else next(symbols) for p in row] for row in parity]
+        report = decode(SymbolGrid(cells, parity))
         if report.status != FULLY_CORRECTED:
             raise AssertionError("parity cells failed to decode")
         return report.grid

@@ -89,6 +89,8 @@ class FieldContext:
                  alpha: int | None = None, alpha_order: int | None = None):
         if degree < 1:
             raise FieldError("degree must be >= 1")
+        if modulus < 0:
+            raise FieldError("modulus must be non-negative, got %d" % modulus)
         if p2.degree(modulus) != degree:
             raise FieldError(
                 "modulus degree %d does not match field degree %d"

@@ -46,6 +46,15 @@ def transpose_code(code: EiiCode) -> EiiCode:
     return code._transposed
 
 
+def _decode_cols(code: EiiCode, grid: SymbolGrid) -> DecodeReport:
+    """One column pass: decode_rows of the column code, reported in the
+    grid's own orientation, so corrected_rows names columns."""
+    rep = transpose_code(code).decode_rows(grid.transpose())
+    return DecodeReport(rep.grid.transpose(), rep.status, rep.corrected_rows,
+                        tuple(sorted((c, r) for r, c in rep.residual)),
+                        rep.passes)
+
+
 def iterative_decode(code: EiiCode, grid: SymbolGrid, max_passes: int = 0) -> DecodeReport:
     """Alternate row and column erasure decoding until nothing moves.
 
@@ -59,16 +68,12 @@ def iterative_decode(code: EiiCode, grid: SymbolGrid, max_passes: int = 0) -> De
     code.check_shape(grid)
     work = grid.copy()
     dirty = [r for r, row in enumerate(work.mask) if any(row)]
-    tcode = transpose_code(code)
+    directions = (code.decode_rows, functools.partial(_decode_cols, code))
     passes = attempts = stalled = 0
     while (not work.is_clean() and stalled < 2
            and not (max_passes and attempts >= max_passes)):
-        if attempts % 2 == 0:
-            rep = code.decode_rows(work)
-            work = rep.grid
-        else:
-            rep = tcode.decode_rows(work.transpose())
-            work = rep.grid.transpose()
+        rep = directions[attempts % 2](work)
+        work = rep.grid
         attempts += 1
         passes += rep.passes
         stalled = 0 if rep.passes else stalled + 1
@@ -135,14 +140,11 @@ def balanced_layout(profile: Profile) -> ParityLayout:
 
 
 @functools.lru_cache(maxsize=16)
-def _balanced_cells(profile: Profile) -> tuple[tuple, tuple]:
-    """Data and parity cells of balanced_layout, as (column, row) cells of
-    the transposed grid; the data cells in the row-major order of the
-    untransposed one."""
+def _balanced_mask(profile: Profile) -> tuple[tuple[bool, ...], ...]:
+    """The cells of balanced_layout as an m x n mask of flags."""
     parity = balanced_layout(profile).positions
-    data = tuple((c, r) for r in range(profile.m) for c in range(profile.n)
-                 if (r, c) not in parity)
-    return data, tuple((c, r) for r, c in parity)
+    return tuple(tuple((r, c) in parity for c in range(profile.n))
+                 for r in range(profile.m))
 
 
 def encode_balanced(code: EiiCode, data) -> SymbolGrid:
@@ -153,6 +155,5 @@ def encode_balanced(code: EiiCode, data) -> SymbolGrid:
     pass of the transposed code.  The construction guarantees that
     pass always succeeds and that the result is a codeword.
     """
-    data_cells, parity_cells = _balanced_cells(code.profile)
-    return transpose_code(code).encode_cells(data, data_cells,
-                                             parity_cells).transpose()
+    return code.encode_around(data, _balanced_mask(code.profile),
+                              functools.partial(_decode_cols, code))

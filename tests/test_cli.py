@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -11,7 +12,9 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epcodes.cli import main
+from epcodes.cli import CliError, auto_field, main
+from epcodes.eii import Profile
+from epcodes.gf import default_field
 
 
 def run(capsys, *argv):
@@ -373,9 +376,10 @@ def malformed_grid_docs(draw):
             _junk, st.floats(), st.booleans(),
             st.integers(-3, 8).filter(lambda d: d != 3)))
     elif kind == "modulus":
-        # only 0xb and 0xd are irreducible of degree 3
+        # only 0xb and 0xd are irreducible of degree 3; a negative
+        # modulus is rejected before any polynomial arithmetic
         doc["field"]["modulus"] = draw(st.one_of(_junk, st.integers(
-            0, 64).filter(lambda v: v not in (11, 13)).map("{:x}".format)))
+            -64, 64).filter(lambda v: v not in (11, 13)).map("{:x}".format)))
     elif kind == "shape":
         key = draw(st.sampled_from(["m", "n"]))
         doc[key] = draw(st.one_of(_junk, st.floats(), st.booleans(),
@@ -411,6 +415,72 @@ def test_grid_header_takes_only_json_integers(tmp_path, capsys, key, value):
     code, _, err = run(capsys, "decode", str(path), "--code", "C(5,[1,1,2,5])")
     assert code == 2
     assert "%s must be an integer" % key in err
+
+
+@pytest.mark.parametrize("value", [True, 11.0, "-9"])
+def test_grid_modulus_must_be_a_non_negative_integer_or_hex(tmp_path, capsys,
+                                                            value):
+    # a negative modulus used to send the field reduction into a loop
+    doc = _valid_grid_doc()
+    doc["field"]["modulus"] = value
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "decode", str(path), "--code", "C(5,[1,1,2,5])")
+    assert code == 2
+    assert err.startswith("error:") and "modulus" in err
+
+
+def test_integer_grid_modulus_is_the_value_itself(tmp_path, capsys):
+    # 11 is 0xb, x^3 + x + 1, as a JSON integer cell is its own value
+    results = []
+    for modulus in ("b", 11):
+        doc = _valid_grid_doc()
+        doc["field"]["modulus"] = modulus
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(doc))
+        results.append(run(capsys, "decode", str(path),
+                           "--code", "C(5,[1,1,2,5])"))
+    assert results[0] == results[1]
+    assert results[0][0] == 0
+
+
+def test_negative_field_modulus_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "props", "--code", "C(3,[1])",
+                         "--field", "2:-7")
+    assert code == 2
+    assert out == ""
+    assert "modulus must be non-negative" in err
+
+
+def test_auto_field_is_the_smallest_default_field_covering_the_grid():
+    fields = [default_field(d) for d in range(2, 17)]
+    needs = {1, 2, 3} | {(1 << d) + k for d in range(2, 17)
+                         for k in (-2, -1, 0, 1)}
+    for need in sorted(v for v in needs if v < 1 << 16):
+        want = next(f for f in fields if f.order_at_least(need))
+        assert auto_field(Profile([0], need)) is want
+        if need < 1 << 10:
+            assert auto_field(Profile([0] * need, 1)) is want
+    with pytest.raises(CliError, match="covers order 65536"):
+        auto_field(Profile([0], 1 << 16))
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    per_call = []
+    for _ in range(2):
+        before = len(built)
+        assert run(capsys, "props", "--code", "C(3,[1])")[0] == 0
+        per_call.append(len(built) - before)
+    # the first call may build the seven parsers; the second builds none
+    assert per_call[0] <= 7 and per_call[1] == 0
 
 
 @settings(max_examples=150)

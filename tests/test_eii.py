@@ -28,7 +28,8 @@ from epcodes.epc import exhaustive_min_distance, matrix_erasure_decode
 from epcodes.errmode import decode_errors_erasures
 from epcodes.gf import (DEFAULT_MODULI, ContextMismatch, FieldContext,
                         build_aop_field, build_field, default_field)
-from epcodes.layout import encode_balanced, iterative_decode
+from epcodes.layout import (balanced_layout, encode_balanced, iterative_decode,
+                             tail_layout)
 from epcodes.rs import LengthExceedsOrder
 
 GF8 = default_field(3)
@@ -345,7 +346,13 @@ def test_rows_distance_matches_exhaustive_search(ctx, n, entries):
     assert code.profile.rows_distance(code.m) == code.min_distance()
 
 
-# -- tail encode by one decode ---------------------------------------------
+# -- encode by one pass ---------------------------------------------------
+
+LAYOUTS = {
+    "tail": (EiiCode.encode, tail_layout),
+    "balanced": (encode_balanced, balanced_layout),
+}
+
 
 @pytest.mark.parametrize("ctx,n,entries", [
     (GF8, 7, (1, 1, 3, 4, 7, 7)),
@@ -354,17 +361,20 @@ def test_rows_distance_matches_exhaustive_search(ctx, n, entries):
     (build_field(3, 0b1101, "polynomial"), 7, (1, 2, 3, 6, 6)),
 ])
 def test_encode_matches_matrix_erasure_ground_truth(ctx, n, entries):
+    # both layouts in one body, so each field case keeps its test id
     code = build_eii(ctx, n, entries)
     H = code.assembled_parity_matrix()
-    parity = set(code.parity_cells())
-    rng = random.Random(31)
-    for _ in range(3):
-        data = [rng.randrange(ctx.size) for _ in range(code.dimension())]
-        grid = code.encode(data)
-        word = [None if (r, c) in parity else grid.cells[r][c]
-                for r in range(code.m) for c in range(n)]
-        assert matrix_erasure_decode(H, word) == [
-            v for row in grid.cells for v in row]
+    for name, (encoder, layout) in LAYOUTS.items():
+        parity = layout(code.profile).positions
+        rng = random.Random(31)
+        for _ in range(3):
+            data = [rng.randrange(ctx.size) for _ in range(code.dimension())]
+            grid = encoder(code, data)
+            word = [None if (r, c) in parity else grid.cells[r][c]
+                    for r in range(code.m) for c in range(n)]
+            assert [v for v in word if v is not None] == data, name
+            assert matrix_erasure_decode(H, word) == [
+                v for row in grid.cells for v in row], name
 
 
 @pytest.mark.parametrize("degree,n,entries,block,row_status", [

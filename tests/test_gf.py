@@ -142,6 +142,15 @@ def test_reducible_modulus_rejected():
         build_field(3, 0b1001)
 
 
+def test_negative_modulus_rejected_at_once():
+    # -9 has bit length 4 and is odd, so only an explicit sign check
+    # stops it before the reduction loops forever on a negative divisor
+    with pytest.raises(FieldError, match="non-negative"):
+        FieldContext(3, -9)
+    with pytest.raises(FieldError, match="non-negative"):
+        build_field(2, -7)
+
+
 def test_context_equality():
     a = default_field(3)
     b = build_field(3, DEFAULT_MODULI[3])
