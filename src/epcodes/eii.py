@@ -30,6 +30,9 @@ FULLY_CORRECTED = "FullyCorrected"
 PARTIALLY_CORRECTED = "PartiallyCorrected"
 FAILED = "Failed"
 
+# isolated_combination weight lists one code keeps; cleared when full
+_ISOLATION_CACHE_CAP = 256
+
 
 class ProfileError(ValueError):
     pass
@@ -248,6 +251,8 @@ class EiiCode:
                                 for e in profile.entries)
         self._transposed: EiiCode | None = None  # see layout.transpose_code
         self._powers: dict[int, list[int]] = {}
+        # per (target, pending), the weights of isolated_combination
+        self._isolation: dict[tuple, list[int]] = {}
 
     @property
     def m(self) -> int:
@@ -308,19 +313,27 @@ class EiiCode:
         of (z + alpha**i), and it lies in row_code(combo_level(len(pending))).
         Returns its sum over the rows outside pending and target, so the
         cells of those rows must be known; pending rows may hold anything.
+        The weights are kept per (target, pending), for up to
+        _ISOLATION_CACHE_CAP keys.
         """
-        ctx = self.ctx
-        mul = ctx.mul
-        locs = self._combination_weights(1)
-        weights = []
-        for x in locs:
-            q = 1
-            for i in pending:
-                q = mul(q, x ^ locs[i])
-            weights.append(q)
-        scale = ctx.inv(weights[target])
-        weights[target] = 0
-        return ctx.row_sum([mul(scale, w) for w in weights], cells)
+        key = (target, tuple(pending))
+        weights = self._isolation.get(key)
+        if weights is None:
+            mul = self.ctx.mul
+            locs = self._combination_weights(1)
+            weights = []
+            for x in locs:
+                q = 1
+                for i in pending:
+                    q = mul(q, x ^ locs[i])
+                weights.append(q)
+            scale = self.ctx.inv(weights[target])
+            weights[target] = 0
+            weights = [mul(scale, w) for w in weights]
+            if len(self._isolation) >= _ISOLATION_CACHE_CAP:
+                self._isolation.clear()
+            self._isolation[key] = weights
+        return self.ctx.row_sum(weights, cells)
 
     def peel(self, grid: SymbolGrid, order, decode) -> tuple[list, int]:
         """Resolve the rows of `order` in place, last first; the rest are known.

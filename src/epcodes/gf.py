@@ -9,10 +9,14 @@ FieldContext.  Two representations are supported:
 
 Both expose the same operations and agree elementwise, which the test
 suite checks exhaustively for small fields.  The weighted row sum that
-isolates a row of an array code switches on the representation as mul
-does: a table field of degree <= 8 multiplies a whole row by one weight
-with bytes.translate through that weight's 256-byte product table, and
-any other field multiplies symbol by symbol.
+isolates a row of an array code multiplies a whole row by one weight
+with bytes.translate.  A table field of degree <= 8 does it through the
+weight's 256-byte product table.  Above degree 8 a table field splits
+each symbol into its two bytes and uses four tables per weight (the
+split-table method of Plank, Greenan and Miller, "Screaming Fast Galois
+Field Arithmetic Using Intel SIMD Instructions", FAST 2013).  Those
+tables are cached for at most SPLIT_CACHE_CAP weights, each admitted on
+its second use.  A polynomial field multiplies symbol by symbol.
 
 The context designates a generator ``alpha`` used to index code
 positions.  For a generic modulus alpha is x when x is primitive and
@@ -21,11 +25,13 @@ field alpha is always x, whose multiplicative order is exactly p.
 
 A table field's tables run over its smallest-valued primitive element g,
 found by the order test g**((2^b - 1)/q) != 1 for every prime q dividing
-2^b - 1; for an all-ones-poly field g is not alpha.
+2^b - 1; for an all-ones-poly field g is not alpha.  When g is x the
+powers step by a shift, reduced once the degree is reached.
 """
 
 from __future__ import annotations
 
+import struct
 from functools import lru_cache
 
 from . import gf2poly as p2
@@ -60,6 +66,10 @@ class ContextMismatch(FieldError):
 
 
 TABLE_MAX_DEGREE = 16
+
+#: Weights whose split tables one wide table field keeps, about 1.3 MB
+#: at four 256-byte tables each; the cache is cleared when it fills.
+SPLIT_CACHE_CAP = 1024
 
 #: Conventional moduli used when a caller does not care which one.
 DEFAULT_MODULI = {
@@ -114,8 +124,12 @@ class FieldContext:
         self.size = 1 << degree
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
-        # per weight, its product table for row_sum, built on first use
-        self._byte_tables: dict[int, bytes] = {}
+        # per weight, its product table for row_sum (degree <= 8) or its
+        # four split tables (degree > 8, see _split_tables); the wide
+        # tables are admitted on a weight's second sighting and dropped
+        # together once SPLIT_CACHE_CAP weights hold them
+        self._byte_tables: dict[int, bytes | tuple[bytes, ...]] = {}
+        self._seen: set[int] = set()
         # per (n, u), the syndrome tables and the tail encoder's rows and
         # tables that RS codes over this context share (see
         # rs.RsCode.parity_check and rs.RsCode._encoder); plain ints only,
@@ -149,13 +163,23 @@ class FieldContext:
         qs = p2._prime_factors(n)
         gen = next(g for g in range(1, self.size)
                    if all(p2.powmod(g, n // q, f) != 1 for q in qs))
-        self._exp = exp = [0] * (2 * n)
+        # exp and log share one int object per value; at b = 16 separate
+        # ones would cost 2 MB more
+        ints, powers, v, top = list(range(self.size)), [], 1, self.size
+        if gen == 2:
+            for _ in range(n):
+                powers.append(ints[v])
+                v <<= 1
+                if v & top:
+                    v ^= f
+        else:
+            for _ in range(n):
+                powers.append(ints[v])
+                v = p2.mulmod(v, gen, f)
+        self._exp = powers + powers
         self._log = log = [0] * self.size
-        v = 1
-        for i in range(n):
-            exp[i] = exp[i + n] = v
+        for v, i in zip(powers, ints):
             log[v] = i
-            v = p2.mulmod(v, gen, f)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -201,10 +225,14 @@ class FieldContext:
     def row_sum(self, weights, rows) -> list[int]:
         """sum_j weights[j] * rows[j] over equal-length rows of elements.
 
-        Zero weights and all-zero rows are skipped.  On a table field of
-        degree <= 8 each row is multiplied at once: as bytes, through
-        bytes.translate with the weight's product table, and the products
-        are added as little-endian ints by one XOR.
+        Zero weights and all-zero rows are skipped.  A table field
+        multiplies each row at once, as bytes through bytes.translate,
+        and adds the products as little-endian ints by XOR.  Up to degree
+        8 a row is one byte string and a weight has one 256-byte product
+        table.  Above degree 8 a row splits into its low and high bytes
+        and a weight has four tables (see _split_tables), built on the
+        weight's second sighting; the first time, and in a polynomial
+        field, the row is multiplied symbol by symbol.
         """
         n = len(rows[0])
         if self._exp is not None and self.degree <= 8:
@@ -217,6 +245,8 @@ class FieldContext:
                         tab = tables[w] = self._product_table(w)
                     acc ^= int.from_bytes(bytes(row).translate(tab), "little")
             return list(acc.to_bytes(n, "little"))
+        if self._exp is not None:
+            return self._split_row_sum(weights, rows, n)
         mul = self.mul
         out = [0] * n
         for w, row in zip(weights, rows):
@@ -225,6 +255,77 @@ class FieldContext:
                     if v:
                         out[c] ^= mul(w, v)
         return out
+
+    def _split_row_sum(self, weights, rows, n: int) -> list[int]:
+        """row_sum above degree 8.
+
+        A row packs to 2n little-endian bytes, low byte first in each
+        symbol.  Each of the weight's four tables is meant for either the
+        low or the high bytes but translates the whole packed row; the
+        four results, end to end, make one int of 8n bytes that is XORed
+        into the sum.  XOR keeps every byte in place, so at the end a
+        mask per quarter keeps the meant bytes and a shift moves each
+        product byte to its symbol's low or high byte.
+        """
+        tables, seen = self._byte_tables, self._seen
+        exp, log = self._exp, self._log
+        words, even = _packing(n)
+        pack = words.pack
+        acc = 0
+        out = None
+        for w, row in zip(weights, rows):
+            if not w or not any(row):
+                continue
+            tab = tables.get(w)
+            if tab is None:
+                if w not in seen:
+                    # a first sighting: one-off weights never pay for tables
+                    if len(seen) >= SPLIT_CACHE_CAP:
+                        seen.clear()
+                    seen.add(w)
+                    if out is None:
+                        out = [0] * n
+                    lw = log[w]
+                    for c, v in enumerate(row):
+                        if v:
+                            out[c] ^= exp[lw + log[v]]
+                    continue
+                if len(tables) >= SPLIT_CACHE_CAP:
+                    tables.clear()
+                tab = tables[w] = self._split_tables(w)
+            raw = pack(*row)
+            lo_lo, hi_lo, lo_hi, hi_hi = tab
+            acc ^= int.from_bytes(raw.translate(lo_lo) + raw.translate(hi_lo)
+                                  + raw.translate(lo_hi) + raw.translate(hi_hi),
+                                  "little")
+        bits = 16 * n
+        odd = even << 8
+        acc = ((acc & even) ^ (acc >> (bits + 8) & even)
+               ^ (acc >> (2 * bits - 8) & odd) ^ (acc >> (3 * bits) & odd))
+        sums = list(words.unpack(acc.to_bytes(2 * n, "little")))
+        if out is not None:
+            sums = [a ^ b for a, b in zip(sums, out)]
+        return sums
+
+    def _split_tables(self, w: int) -> tuple[bytes, ...]:
+        """At index v: the low byte of w * v and of w * (v << 8), then the
+        high byte of each, every table zero-padded to 256 entries.
+
+        Multiplying by w is linear over GF(2), so the products are XORs
+        of w * x**i over the set bits i of the operand; w * x**i steps by
+        a shift, reduced once the degree is reached.
+        """
+        b, f = self.degree, self.modulus
+        slots = []
+        for _ in range(b):
+            slots.append(w)
+            w <<= 1
+            if w >> b:
+                w ^= f
+        products = (p2.subset_xors(slots[:8]) + p2.subset_xors(slots[8:])
+                    + [0] * (256 - (1 << (b - 8))))
+        raw = _packing(512)[0].pack(*products)
+        return raw[0:512:2], raw[512::2], raw[1:512:2], raw[513::2]
 
     def _product_table(self, w: int) -> bytes:
         """w * v at index v, zero-padded to the 256 entries translate needs."""
@@ -290,6 +391,13 @@ class FieldContext:
 
     def __hash__(self) -> int:
         return hash((self.degree, self.modulus, self.alpha))
+
+
+@lru_cache(maxsize=64)
+def _packing(n: int) -> tuple[struct.Struct, int]:
+    """n symbols of up to 16 bits as 2n little-endian bytes, and the int
+    whose low byte of every symbol is 0xff."""
+    return struct.Struct("<%dH" % n), int.from_bytes(b"\xff\x00" * n, "little")
 
 
 @lru_cache(maxsize=None)

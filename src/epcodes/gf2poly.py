@@ -28,6 +28,14 @@ def mul(a: int, b: int) -> int:
     return out
 
 
+def subset_xors(slots: list[int]) -> list[int]:
+    """Entry x is the XOR of slots[i] over the set bits i of x."""
+    out = [0]
+    for s in slots:
+        out += [x ^ s for x in out]
+    return out
+
+
 def divmod_(a: int, b: int) -> tuple[int, int]:
     """Quotient and remainder of a by b (b nonzero)."""
     if b == 0:

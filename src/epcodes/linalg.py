@@ -17,6 +17,7 @@ from functools import reduce
 from operator import getitem, xor
 
 from .gf import FieldContext
+from .gf2poly import subset_xors
 
 
 class ParityMatrix:
@@ -92,17 +93,9 @@ class ParityMatrix:
         """
         if not self._tables:
             cols = self.packed_columns()
-            self._tables.extend([_subset_xors(slots[lo:lo + 8]) for slots in cols]
+            self._tables.extend([subset_xors(slots[lo:lo + 8]) for slots in cols]
                                 for lo in range(0, self.ctx.degree, 8))
         return self._tables
-
-
-def _subset_xors(slots: list[int]) -> list[int]:
-    """Entry x is the XOR of slots[i] over the set bits i of x."""
-    out = [0]
-    for s in slots:
-        out += [x ^ s for x in out]
-    return out
 
 
 def rref(ctx: FieldContext, rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:

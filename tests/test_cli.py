@@ -10,7 +10,7 @@ import os
 import tempfile
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from epcodes.cli import CliError, auto_field, main
 from epcodes.eii import Profile
@@ -483,8 +483,19 @@ def test_parser_is_built_once_per_process(monkeypatch, capsys):
     assert per_call[0] <= 7 and per_call[1] == 0
 
 
+def _grid_doc_with_modulus(modulus):
+    doc = _valid_grid_doc()
+    doc["field"]["modulus"] = modulus
+    return doc
+
+
+# the draws need not hit the edge moduli, so they are listed: a negative
+# one (which once hung the reduction), zero, and x^3 + 1 = (x + 1)(x^2 + x + 1)
 @settings(max_examples=150)
 @given(malformed_grid_docs())
+@example(_grid_doc_with_modulus("-9"))
+@example(_grid_doc_with_modulus("0"))
+@example(_grid_doc_with_modulus("9"))
 def test_malformed_grid_files_exit_with_a_message(doc):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "grid.json")

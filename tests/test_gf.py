@@ -15,6 +15,7 @@ from epcodes.gf import (
     FieldContext,
     FieldError,
     ReducibleModulus,
+    SPLIT_CACHE_CAP,
     build_aop_field,
     build_field,
     default_field,
@@ -213,13 +214,17 @@ def test_repr_and_hex_forms():
 
 
 # degree 20 is polynomial-backed with a 4-bit top chunk; degree 8 is
-# also forced onto the polynomial representation
+# also forced onto the polynomial representation; gf4096, gf65536 and
+# aop13 (degree 12 over the all-ones modulus) run row_sum through split
+# byte tables
 KERNEL_FIELDS = {
     "gf2": lambda: default_field(1),
     "gf8": lambda: default_field(3),
     "gf256": lambda: default_field(8),
+    "gf4096": lambda: default_field(12),
     "gf65536": lambda: default_field(16),
     "aop5": lambda: build_aop_field(5),
+    "aop13": lambda: build_aop_field(13),
     "poly20": lambda: default_field(20),
     "poly8": lambda: build_field(8, DEFAULT_MODULI[8], "polynomial"),
 }
@@ -261,3 +266,50 @@ def test_table_kernels_match_scalar_multiplication(field):
                 for c, v in enumerate(row):
                     want[c] ^= ctx.mul(w, v)
             assert ctx.row_sum(weights, rows) == want, (weights, rows)
+
+
+def test_split_row_sum_admits_on_second_sighting_and_evicts_at_the_cap():
+    # a fresh context, so no other test has filled its cache
+    ctx = FieldContext(16, DEFAULT_MODULI[16])
+    tables, seen = ctx._byte_tables, ctx._seen
+    rng = random.Random(16)
+    rows = [[rng.randrange(ctx.size) for _ in range(5)] for _ in range(2)]
+    sizes = []
+    for w in range(1, SPLIT_CACHE_CAP + 100):
+        for sighting in (1, 2):
+            weights = [w, ctx.size - 1]
+            want = [ctx.mul(weights[0], a) ^ ctx.mul(weights[1], b)
+                    for a, b in zip(*rows)]
+            assert ctx.row_sum(weights, rows) == want, (w, sighting)
+            # a first sighting builds no tables; the second admits them
+            assert (w in tables) == (sighting == 2), (w, sighting)
+            assert w in seen
+            assert len(tables) <= SPLIT_CACHE_CAP
+            assert len(seen) <= SPLIT_CACHE_CAP
+            sizes.append(len(tables))
+    # the cache filled and was cleared
+    assert max(sizes) == SPLIT_CACHE_CAP
+    assert sizes[-1] < SPLIT_CACHE_CAP
+
+
+def test_shift_built_tables_match_the_generator_walk():
+    def walk(ctx, gen):
+        n, v, exp = ctx.size - 1, 1, []
+        for _ in range(n):
+            exp.append(v)
+            v = p2.mulmod(v, gen, ctx.modulus)
+        log = [0] * ctx.size
+        for i, v in enumerate(exp):
+            log[v] = i
+        return exp + exp, log
+
+    # x is primitive modulo every default modulus, so x generates the tables
+    for deg in range(2, 17):
+        ctx = FieldContext(deg, DEFAULT_MODULI[deg], "table")
+        assert (ctx._exp, ctx._log) == walk(ctx, 2), deg
+    # x is not primitive here, so the walk runs over the generator found
+    for ctx, gen in [(FieldContext(4, 0b11111, "table"), 3),
+                     (build_aop_field(5), 3), (build_aop_field(11), 11),
+                     (build_aop_field(13), 11)]:
+        assert ctx._exp[1] == gen, ctx
+        assert (ctx._exp, ctx._log) == walk(ctx, gen), ctx
