@@ -165,8 +165,17 @@ class SymbolGrid:
     def zeros(cls, m: int, n: int) -> "SymbolGrid":
         return cls([[0] * n for _ in range(m)])
 
+    @classmethod
+    def _of(cls, cells: list, mask: list) -> "SymbolGrid":
+        """A grid on lists already of one shape, taken as they are."""
+        grid = cls.__new__(cls)
+        grid.cells, grid.mask = cells, mask
+        grid.m, grid.n = len(cells), len(cells[0]) if cells else 0
+        return grid
+
     def copy(self) -> "SymbolGrid":
-        return SymbolGrid(self.cells, self.mask)
+        return SymbolGrid._of([list(row) for row in self.cells],
+                              [list(row) for row in self.mask])
 
     def erase(self, row: int, col: int) -> None:
         self.mask[row][col] = True
@@ -186,7 +195,8 @@ class SymbolGrid:
         return not any(map(any, self.mask))
 
     def transpose(self) -> "SymbolGrid":
-        return SymbolGrid(zip(*self.cells), zip(*self.mask))
+        return SymbolGrid._of(list(map(list, zip(*self.cells))),
+                              list(map(list, zip(*self.mask))))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, SymbolGrid)
@@ -293,14 +303,20 @@ class EiiCode:
             raise HasErasures("membership is defined on fully known grids")
         self.check_shape(grid)
         c0 = self.row_code(0)
-        if not all(c0.contains(row) for row in grid.cells):
-            return False
+        return (all(c0.contains(row) for row in grid.cells)
+                and self.combinations_hold(grid.cells))
+
+    def combinations_hold(self, cells) -> bool:
+        """The half of is_codeword beyond the rows: every combination r
+        of the rows lies in the nested code of its level.  Decides
+        membership alone for rows already known to lie in the outermost
+        row code."""
         ctx = self.ctx
         for i in range(1, self.profile.t + 1):
             code = self.row_code(i)
             for r in range(self.profile.suffix_at(i)):
                 weights = self._combination_weights(r)
-                if not code.contains(ctx.row_sum(weights, grid.cells)):
+                if not code.contains(ctx.row_sum(weights, cells)):
                     return False
         return True
 

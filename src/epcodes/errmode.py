@@ -10,9 +10,12 @@ and rotates the order on failure.
 
 A decode past its budget can return a wrong word, so every cyclic start
 of the order gives a candidate, and of those that pass the membership
-check the one changing the fewest known cells wins.  Two candidates
-differ by a codeword on the peeled rows, so one that changes t known
-cells there, with 2t plus the erasures there below
+check the one changing the fewest known cells wins.  The check needs
+only the combinations (EiiCode.combinations_hold): every row of a
+complete candidate already lies in the outermost row code, as the row
+stage's decode or as a nested codeword plus a combination of such rows.
+Two candidates differ by a codeword on the peeled rows, so one that
+changes t known cells there, with 2t plus the erasures there below
 Profile.rows_distance, is the nearest and ends the search (the bound of
 Forney's generalized minimum distance decoding).  With no candidate the
 transposed grid is decoded once under the column code.  The row stage
@@ -78,7 +81,9 @@ def decode_errors_erasures(code: EiiCode, grid: SymbolGrid,
             changed = sum(v != w for r in order for v, w, lost
                           in zip(cand.cells[r], work.cells[r], work.mask[r])
                           if not lost)
-            if rest or best and changed >= best[0] or not code.is_codeword(cand):
+            # the rows are outer row codewords (module docstring)
+            if (rest or best and changed >= best[0]
+                    or not code.combinations_hold(cand.cells)):
                 continue
             best = (changed, cand, start + turns)
             if changed == 0 or 2 * changed < spare:

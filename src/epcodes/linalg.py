@@ -8,7 +8,9 @@ to XOR elimination, which is what the minimum-distance search runs on.
 Syndromes run on the same packed columns.  A syndrome is linear over
 GF(2) in the bits of the word, so per column and per 8-bit chunk of a
 symbol a table holds the packed contribution to all checks, and a
-syndrome costs one lookup and XOR per column and chunk.
+syndrome costs one lookup and XOR per column and chunk.  Symbols of 9
+to 16 bits are split into their two bytes by one struct pack of the
+whole word.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from functools import reduce
 from operator import getitem, xor
 
-from .gf import FieldContext
+from .gf import FieldContext, _packing
 from .gf2poly import subset_xors
 
 
@@ -48,10 +50,19 @@ class ParityMatrix:
         if not any(word):
             return [0] * self.num_rows
         b = self.ctx.degree
-        acc = 0
-        for k, tables in enumerate(self._syndrome_tables()):
-            chunk = word if b <= 8 else [w >> (8 * k) & 255 for w in word]
-            acc ^= reduce(xor, map(getitem, tables, chunk))
+        tables = self._syndrome_tables()
+        if b <= 8:
+            acc = reduce(xor, map(getitem, tables[0], word))
+        elif b <= 16:
+            # one pack; the low bytes sit at even offsets, the high at odd
+            raw = _packing(len(word))[0].pack(*word)
+            acc = (reduce(xor, map(getitem, tables[0], raw[0::2]))
+                   ^ reduce(xor, map(getitem, tables[1], raw[1::2])))
+        else:
+            acc = 0
+            for k, chunk_tables in enumerate(tables):
+                chunk = [w >> (8 * k) & 255 for w in word]
+                acc ^= reduce(xor, map(getitem, chunk_tables, chunk))
         lane = (1 << b) - 1
         return [acc >> (r * b) & lane for r in range(self.num_rows)]
 

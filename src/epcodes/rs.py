@@ -9,12 +9,16 @@ Codes over the same context nest by construction: more parities means a
 subcode.  Erasures are filled in closed form, and the last u positions,
 where a systematic encode puts the parity, by one table-driven matrix
 product; with errors as well,
-Berlekamp-Massey seeded with the erasures locates the errata and the
-same fill supplies their values.  Decoding failures are returned as
-None, never raised.
+Berlekamp-Massey seeded with the erasures locates the errata, a Chien
+search over the error locator alone finds the errors, and the same fill
+supplies the values.  With one parity the syndrome is the plain sum of
+the word.  Decoding failures are returned as None, never raised.
 """
 
 from __future__ import annotations
+
+from functools import reduce
+from operator import xor
 
 from .gf import FieldContext
 from .linalg import ParityMatrix
@@ -92,6 +96,9 @@ class RsCode:
     def syndromes(self, word: list[int]) -> list[int]:
         if len(word) != self.n:
             raise ValueError("word length %d != n=%d" % (len(word), self.n))
+        if self.u == 1:
+            # the single check row is all ones
+            return [reduce(xor, word)]
         # with no rows the matrix has no columns to check a word against
         return self.parity_check().syndrome(word) if self.u else []
 
@@ -168,9 +175,12 @@ class RsCode:
         Returns (codeword, error_count) or None.  Berlekamp-Massey runs
         on the syndromes of the word with the erasures zeroed, started
         from the erasure locator with length e, so it ends on the errata
-        locator (Blahut's errata decoder).  A Chien search finds its
-        roots, and erasure_decode fills them; its checks beyond the
-        filled positions stand in for a final syndrome check.  The error
+        locator (Blahut's errata decoder).  That is the erasure locator
+        times the error locator; the quotient is exact, and a Chien
+        search finds its roots, which must be distinct and off the
+        erasures.  With no error the search is skipped.  erasure_decode
+        fills the erasures and the roots; its checks beyond the filled
+        positions stand in for a final syndrome check.  The error
         count is the number of known positions the fill changed.  The
         result is the codeword within capability of the received word
         when there is one, and None otherwise: beyond capability a
@@ -191,7 +201,7 @@ class RsCode:
         # Berlekamp-Massey from lam = old = erasure locator, length e;
         # deg lam can sit below length, so sums run over the whole list
         mul = ctx.mul
-        lam = old = self._locator(e)
+        lam = old = gamma = self._locator(e)
         length = len(e)
         for r in range(len(e), u):
             old = [0] + old
@@ -212,21 +222,25 @@ class RsCode:
             lam = nxt
         while not lam[-1]:
             lam.pop()
-        # a locator of its full length, within capability, with all roots
+        # a locator of its full length, within capability
         if len(lam) - 1 != length or 2 * length > u + len(e):
             return None
-        # lam(1/X) = 0 exactly when lam reversed vanishes at X, since
-        # lam[0] = 1 and lam[-1] != 0
-        rev = lam[::-1]
-        roots = [j for j, x in enumerate(self._loc) if not _peval(ctx, rev, x)]
-        if len(roots) != length:
-            return None
+        errs = []
+        if length > len(e):
+            # lam = gamma * sigma, since both BM polynomials start at
+            # gamma, so the Chien search runs on sigma, the error locator,
+            # which must have all its roots, distinct and off the
+            # erasures.  sigma(1/X) = 0 exactly when sigma reversed
+            # vanishes at X, since sigma[0] = 1 and sigma[-1] != 0.
+            rev = _quotient(ctx, lam, gamma)[::-1]
+            errs = [j for j, x in enumerate(self._loc) if not _peval(ctx, rev, x)]
+            if len(errs) != length - len(e) or not set(errs).isdisjoint(e):
+                return None
 
-        out = self.erasure_decode(word, roots)
+        out = self.erasure_decode(word, e + errs)
         if out is None:
             return None
-        e_set = set(e)
-        return out, sum(1 for j in roots if j not in e_set and out[j] != word[j])
+        return out, sum(1 for j in errs if out[j] != word[j])
 
 
 def build_rs(ctx: FieldContext, n: int, u: int) -> RsCode:
@@ -249,6 +263,18 @@ def difference_weights(ctx: FieldContext, locs: list[int]) -> list[int]:
                 prod = ctx.mul(prod, xs ^ xl)
         out.append(ctx.inv(prod))
     return out
+
+
+def _quotient(ctx: FieldContext, p: list[int], d: list[int]) -> list[int]:
+    """p / d, lowest power first, for a d with d[0] = 1 that divides p."""
+    mul = ctx.mul
+    q = []
+    for k in range(len(p) - len(d) + 1):
+        c = p[k]
+        for i in range(1, min(k, len(d) - 1) + 1):
+            c ^= mul(d[i], q[k - i])
+        q.append(c)
+    return q
 
 
 def _peval(ctx: FieldContext, p: list[int], x: int) -> int:

@@ -316,3 +316,51 @@ def test_row_stage_defect_inside_the_radius(erased, errors):
     grid = damaged(sent, [(r, c, 0) for r, c in erased], errors)
     report = decode_errors_erasures(code, grid)
     assert report.status != CORRECTED or report.grid == sent
+
+
+# -- the candidate guard ---------------------------------------------------
+
+GUARD_CODES = RADIUS_CODES + [build_eii(GF8, 7, (1, 1, 1, 7, 7))]
+
+
+def any_damage(code, rng):
+    """Errors and erasures in a few rows, with no regard for the radius:
+    up to three errors and up to n - 1 erasures per row."""
+    erasures, errors = [], []
+    for r in rng.sample(range(code.m), rng.randint(1, min(4, code.m))):
+        t = rng.randint(0, 3)
+        e = rng.randint(0, code.n - 1)
+        cols = rng.sample(range(code.n), min(t + e, code.n))
+        erasures += [(r, c, rng.randrange(code.ctx.size)) for c in cols[:e]]
+        errors += [(r, c, rng.randrange(1, code.ctx.size)) for c in cols[e:]]
+    return erasures, errors
+
+
+def guarded_decode(code, seed):
+    rng = random.Random(seed)
+    sent = encoded(code, rng.randrange(10 ** 9))
+    erasures, errors = any_damage(code, rng)
+    report = decode_errors_erasures(code, damaged(sent, erasures, errors))
+    if report.status == CORRECTED:
+        # decode_errors_erasures checks only the combinations of a
+        # candidate; its rows must lie in the outer row code as well
+        assert code.is_codeword(report.grid)
+    return report, 2 * len(errors) + len(erasures) >= code.min_distance()
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(GUARD_CODES), st.integers(0, 2 ** 64))
+def test_every_corrected_result_is_a_codeword(code, seed):
+    guarded_decode(code, seed)
+
+
+def test_guard_property_reaches_the_fallback_and_beyond_the_radius():
+    # the draws of the property above include Corrected results from the
+    # transposed fallback and from patterns at or past the radius
+    fallback = beyond = 0
+    for seed in range(120):
+        report, past = guarded_decode(GUARD_CODES[seed % len(GUARD_CODES)], seed)
+        if report.status == CORRECTED:
+            fallback += report.fallback_used
+            beyond += past
+    assert fallback > 0 and beyond > 0

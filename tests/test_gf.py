@@ -214,13 +214,14 @@ def test_repr_and_hex_forms():
 
 
 # degree 20 is polynomial-backed with a 4-bit top chunk; degree 8 is
-# also forced onto the polynomial representation; gf4096, gf65536 and
-# aop13 (degree 12 over the all-ones modulus) run row_sum through split
-# byte tables
+# also forced onto the polynomial representation; gf512, gf4096, gf65536
+# and aop13 (degree 12 over the all-ones modulus) run row_sum through
+# split byte tables and syndromes through one 16-bit pack per word
 KERNEL_FIELDS = {
     "gf2": lambda: default_field(1),
     "gf8": lambda: default_field(3),
     "gf256": lambda: default_field(8),
+    "gf512": lambda: default_field(9),
     "gf4096": lambda: default_field(12),
     "gf65536": lambda: default_field(16),
     "aop5": lambda: build_aop_field(5),
@@ -244,7 +245,7 @@ def test_table_kernels_match_scalar_multiplication(field):
         assert ctx.representation == "polynomial"
     rng = random.Random(field)
     top = (ctx.degree - 1) // 8 * 8
-    for u, n in [(1, 1), (3, 5), (4, 9)]:
+    for u, n in [(1, 1), (3, 5), (4, 9), (8, 32)]:
         H = ParityMatrix(ctx, [[_random_symbol(ctx, rng) for _ in range(n)]
                                for _ in range(u)])
         words = [[0] * n, [_random_symbol(ctx, rng) for _ in range(n)],

@@ -319,3 +319,83 @@ def test_error_erasure_decode_matches_nearest_codeword(field, n, u):
             received, erased)
         outcomes.add(want is None)
     assert outcomes == ({False} if u == 0 else {True, False})
+
+
+@pytest.mark.parametrize("field", [default_field(4), default_field(16),
+                                   build_aop_field(13), default_field(20)],
+                         ids=["gf16", "gf65536", "aop13", "poly20"])
+def test_single_check_syndrome_is_the_plain_sum(field):
+    # u = 1: the one check row is alpha**0 everywhere
+    code = build_rs(field, 12, 1)
+    rng = random.Random(field.degree)
+    for _ in range(20):
+        word = [rng.choice([0, rng.randrange(field.size)]) for _ in range(12)]
+        want = [0]
+        for h, v in zip(code.parity_check().rows[0], word):
+            want[0] ^= field.mul(h, v)
+        assert code.syndromes(word) == want
+        assert code.contains(word) == (want == [0])
+    with pytest.raises(ValueError):
+        code.syndromes([0] * 11)
+
+
+def _word_with_syndromes(code, syn, support):
+    """A word zero off `support` (u positions) with the given syndromes."""
+    rows = [[code.parity_check().rows[r][j] for j in support]
+            for r in range(code.u)]
+    vals = solve_unique(code.ctx, rows, syn)
+    word = [0] * code.n
+    for j, v in zip(support, vals):
+        word[j] = v
+    assert code.syndromes(word) == syn
+    return word
+
+
+def _locator_syndromes(code, lam, start):
+    """S_0 .. S_{u-1} from the given first syndromes, continued by the
+    recurrence of lam: S_r = sum_{i >= 1} lam_i S_{r-i}."""
+    syn = list(start)
+    while len(syn) < code.u:
+        r = len(syn)
+        acc = 0
+        for i in range(1, len(lam)):
+            acc ^= code.ctx.mul(lam[i], syn[r - i])
+        syn.append(acc)
+    return syn
+
+
+@pytest.mark.parametrize("erased,sigma_roots,decodes", [
+    ([2], [5], True),       # a proper error locator: one error at 5
+    ([2], [2], False),      # sigma's root sits on the erasure
+    ([], [4, 4], False),    # sigma has a repeated root
+    ([], [4, 6], True),     # two distinct errors
+    ([1, 7], [7], False),   # a root on the second of two erasures
+])
+def test_error_locator_roots_must_be_distinct_and_off_the_erasures(
+        erased, sigma_roots, decodes):
+    # The syndromes follow the errata locator gamma * sigma, so the BM
+    # run seeded with gamma ends on it.  A repeated root of sigma, or a
+    # root on an erasure, gives that locator a double root, which no
+    # errata pattern has, so the decoder must refuse.
+    ctx = default_field(4)
+    code = build_rs(ctx, 12, 5 if len(erased) > 1 else 4)
+    loc = [ctx.alpha_pow(j) for j in range(code.n)]
+    lam = [1]
+    for j in erased + sigma_roots:
+        x = loc[j]
+        lam = [a ^ ctx.mul(x, b) for a, b in zip(lam + [0], [0] + lam)]
+    assert 2 * (len(lam) - 1) <= code.u + len(erased)
+    start = [3, 11, 1][:len(lam) - 1]
+    syn = _locator_syndromes(code, lam, start)
+    support = [j for j in range(code.n) if j not in erased][-code.u:]
+    word = _word_with_syndromes(code, syn, support)
+    out = code.error_erasure_decode(word, erased)
+    if not decodes:
+        assert out is None
+        return
+    assert out is not None
+    decoded, nerr = out
+    assert code.contains(decoded)
+    assert [j for j in range(code.n) if j not in erased
+            and decoded[j] != word[j]] == sorted(sigma_roots)
+    assert nerr == len(sigma_roots)
