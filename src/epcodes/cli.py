@@ -25,7 +25,7 @@ import functools
 import json
 import sys
 
-from .eii import FAILED, EiiCode, Profile, SymbolGrid
+from .eii import FAILED, DecodeReport, EiiCode, Profile, SymbolGrid
 from .epc import (EmptyRange, EpcParams, FieldTooSmall, OrderTooSmall,
                   TooLarge, distance_bound, epc_params)
 from .errmode import CORRECTED, decode_errors_erasures
@@ -253,20 +253,17 @@ def cmd_decode(args) -> int:
     else:
         if args.mode == "rows":
             rep = code.decode_rows(grid)
-            fixed, residual = rep.grid, rep.residual
         elif args.mode == "cols":
             trep = transpose_code(code).decode_rows(grid.transpose())
-            rep = trep
-            fixed = trep.grid.transpose()
-            residual = tuple((c, r) for r, c in trep.residual)
+            rep = DecodeReport.of(trep.grid.transpose(), trep.corrected_rows,
+                                  trep.passes)
         else:
             rep = iterative_decode(code, grid)
-            fixed, residual = rep.grid, rep.residual
         report = {"status": rep.status,
                   "corrected_rows": sorted(rep.corrected_rows),
-                  "residual": [list(t) for t in residual],
+                  "residual": [list(t) for t in rep.residual],
                   "passes": rep.passes}
-        ok = not residual
+        fixed, ok = rep.grid, not rep.residual
         if grid.is_clean() and not code.is_codeword(grid):
             # with nothing erased the decoders change nothing; check parity
             report["status"], ok = FAILED, False

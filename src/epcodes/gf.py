@@ -10,13 +10,16 @@ FieldContext.  Two representations are supported:
 Both expose the same operations and agree elementwise, which the test
 suite checks exhaustively for small fields.  The weighted row sum that
 isolates a row of an array code multiplies a whole row by one weight
-with bytes.translate.  A table field of degree <= 8 does it through the
-weight's 256-byte product table.  Above degree 8 a table field splits
-each symbol into its two bytes and uses four tables per weight (the
-split-table method of Plank, Greenan and Miller, "Screaming Fast Galois
-Field Arithmetic Using Intel SIMD Instructions", FAST 2013).  Those
-tables are cached for at most SPLIT_CACHE_CAP weights, each admitted on
-its second use.  A polynomial field multiplies symbol by symbol.
+with bytes.translate, in either representation.  Up to degree 8 it goes
+through the weight's 256-byte product table.  From degree 9 to 16 it
+splits each symbol into its two bytes and uses four tables per weight
+(the split-table method of Plank, Greenan and Miller, "Screaming Fast
+Galois Field Arithmetic Using Intel SIMD Instructions", FAST 2013).
+Those tables are cached for at most SPLIT_CACHE_CAP weights, each
+admitted on its second use.  Above degree 16 the sum runs symbol by
+symbol.  Every multiplication table, the parity matrices' packed
+columns included, is built from the walk w * x**i of _x_multiples, by
+shift and reduce modulo the field's own modulus, with no multiply call.
 
 The context designates a generator ``alpha`` used to index code
 positions.  For a generic modulus alpha is x when x is primitive and
@@ -67,8 +70,8 @@ class ContextMismatch(FieldError):
 
 TABLE_MAX_DEGREE = 16
 
-#: Weights whose split tables one wide table field keeps, about 1.3 MB
-#: at four 256-byte tables each; the cache is cleared when it fills.
+#: Weights whose split tables one field of degree 9 to 16 keeps, about
+#: 1.3 MB at four 256-byte tables each; the cache is cleared when it fills.
 SPLIT_CACHE_CAP = 1024
 
 #: Conventional moduli used when a caller does not care which one.
@@ -125,7 +128,7 @@ class FieldContext:
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
         # per weight, its product table for row_sum (degree <= 8) or its
-        # four split tables (degree > 8, see _split_tables); the wide
+        # four split tables (degree 9 to 16, see _split_tables); the wide
         # tables are admitted on a weight's second sighting and dropped
         # together once SPLIT_CACHE_CAP weights hold them
         self._byte_tables: dict[int, bytes | tuple[bytes, ...]] = {}
@@ -225,17 +228,17 @@ class FieldContext:
     def row_sum(self, weights, rows) -> list[int]:
         """sum_j weights[j] * rows[j] over equal-length rows of elements.
 
-        Zero weights and all-zero rows are skipped.  A table field
-        multiplies each row at once, as bytes through bytes.translate,
-        and adds the products as little-endian ints by XOR.  Up to degree
-        8 a row is one byte string and a weight has one 256-byte product
-        table.  Above degree 8 a row splits into its low and high bytes
-        and a weight has four tables (see _split_tables), built on the
-        weight's second sighting; the first time, and in a polynomial
-        field, the row is multiplied symbol by symbol.
+        Zero weights and all-zero rows are skipped.  Up to degree 16 each
+        row is multiplied at once, as bytes through bytes.translate, and
+        the products are added as little-endian ints by XOR.  Up to
+        degree 8 a row is one byte string and a weight has one 256-byte
+        product table.  From degree 9 to 16 a row splits into its low and
+        high bytes and a weight has four tables (see _split_tables),
+        built on the weight's second sighting; the first time, and above
+        degree 16, the row is multiplied symbol by symbol.
         """
         n = len(rows[0])
-        if self._exp is not None and self.degree <= 8:
+        if self.degree <= 8:
             tables = self._byte_tables
             acc = 0
             for w, row in zip(weights, rows):
@@ -245,7 +248,7 @@ class FieldContext:
                         tab = tables[w] = self._product_table(w)
                     acc ^= int.from_bytes(bytes(row).translate(tab), "little")
             return list(acc.to_bytes(n, "little"))
-        if self._exp is not None:
+        if self.degree <= 16:
             return self._split_row_sum(weights, rows, n)
         mul = self.mul
         out = [0] * n
@@ -257,7 +260,7 @@ class FieldContext:
         return out
 
     def _split_row_sum(self, weights, rows, n: int) -> list[int]:
-        """row_sum above degree 8.
+        """row_sum from degree 9 to 16.
 
         A row packs to 2n little-endian bytes, low byte first in each
         symbol.  Each of the weight's four tables is meant for either the
@@ -267,8 +270,7 @@ class FieldContext:
         mask per quarter keeps the meant bytes and a shift moves each
         product byte to its symbol's low or high byte.
         """
-        tables, seen = self._byte_tables, self._seen
-        exp, log = self._exp, self._log
+        tables, seen, mul = self._byte_tables, self._seen, self.mul
         words, even = _packing(n)
         pack = words.pack
         acc = 0
@@ -285,10 +287,9 @@ class FieldContext:
                     seen.add(w)
                     if out is None:
                         out = [0] * n
-                    lw = log[w]
                     for c, v in enumerate(row):
                         if v:
-                            out[c] ^= exp[lw + log[v]]
+                            out[c] ^= mul(w, v)
                     continue
                 if len(tables) >= SPLIT_CACHE_CAP:
                     tables.clear()
@@ -310,29 +311,37 @@ class FieldContext:
     def _split_tables(self, w: int) -> tuple[bytes, ...]:
         """At index v: the low byte of w * v and of w * (v << 8), then the
         high byte of each, every table zero-padded to 256 entries.
-
-        Multiplying by w is linear over GF(2), so the products are XORs
-        of w * x**i over the set bits i of the operand; w * x**i steps by
-        a shift, reduced once the degree is reached.
         """
-        b, f = self.degree, self.modulus
-        slots = []
-        for _ in range(b):
-            slots.append(w)
-            w <<= 1
-            if w >> b:
-                w ^= f
+        slots = self._x_multiples(w)
         products = (p2.subset_xors(slots[:8]) + p2.subset_xors(slots[8:])
-                    + [0] * (256 - (1 << (b - 8))))
+                    + [0] * (256 - (1 << (self.degree - 8))))
         raw = _packing(512)[0].pack(*products)
         return raw[0:512:2], raw[512::2], raw[1:512:2], raw[513::2]
 
     def _product_table(self, w: int) -> bytes:
         """w * v at index v, zero-padded to the 256 entries translate needs."""
-        exp, log = self._exp, self._log
-        lw = log[w]
-        products = [0] + [exp[lw + log[v]] for v in range(1, self.size)]
+        products = p2.subset_xors(self._x_multiples(w))
         return bytes(products) + bytes(256 - self.size)
+
+    def _x_multiples(self, w: int, ones: int = 1) -> list[int]:
+        """w * x**i for i < degree, each a shift of the last, reduced once
+        the degree is reached.
+
+        w may pack several elements in lanes of degree bits, with bit 0
+        of every lane set in ones; all lanes then step at once.
+        Multiplying by w is linear over GF(2), so w * v is the XOR of
+        these over the set bits i of v (see gf2poly.subset_xors).
+        """
+        b = self.degree
+        top, low = ones << (b - 1), self.modulus ^ (1 << b)
+        out = []
+        for _ in range(b):
+            out.append(w)
+            carry = w & top
+            # in a lane that reaches x**b, the modulus's lower terms
+            # replace it
+            w = (w ^ carry) << 1 ^ (carry >> (b - 1)) * low
+        return out
 
     def alpha_pow(self, e: int) -> int:
         """alpha**e for any sign of e; negative powers go through 1/alpha."""
@@ -422,8 +431,7 @@ def build_aop_field(p: int) -> FieldContext:
     d = p2.order_mod(2, p)
     if d != p - 1:
         raise AopReducible(p, p2.smallest_factor(f, d))
-    rep = "table" if p - 1 <= TABLE_MAX_DEGREE else "polynomial"
-    return FieldContext(p - 1, f, rep, alpha=2, alpha_order=p)
+    return FieldContext(p - 1, f, alpha=2, alpha_order=p)
 
 
 def default_field(degree: int) -> FieldContext:

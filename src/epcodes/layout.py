@@ -50,9 +50,8 @@ def _decode_cols(code: EiiCode, grid: SymbolGrid) -> DecodeReport:
     """One column pass: decode_rows of the column code, reported in the
     grid's own orientation, so corrected_rows names columns."""
     rep = transpose_code(code).decode_rows(grid.transpose())
-    return DecodeReport(rep.grid.transpose(), rep.status, rep.corrected_rows,
-                        tuple(sorted((c, r) for r, c in rep.residual)),
-                        rep.passes)
+    return DecodeReport.of(rep.grid.transpose(), rep.corrected_rows,
+                           rep.passes)
 
 
 def iterative_decode(code: EiiCode, grid: SymbolGrid, max_passes: int = 0) -> DecodeReport:

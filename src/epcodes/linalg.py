@@ -3,8 +3,10 @@
 Matrices are lists of equal-length rows of ints.  Dense Gaussian
 elimination over GF(2^b) is the reference solve that decoders and tests
 trust.  A parity matrix also expands each GF(2^b) column into b GF(2)
-columns packed into Python ints.  Rank and kernel questions then reduce
-to XOR elimination, which is what the minimum-distance search runs on.
+columns packed into Python ints: the column's entries, packed side by
+side, take the field's shift-and-reduce walk by x together, in either
+representation.  Rank and kernel questions then reduce to XOR
+elimination, which is what the minimum-distance search runs on.
 Syndromes run on the same packed columns.  A syndrome is linear over
 GF(2) in the bits of the word, so per column and per 8-bit chunk of a
 symbol a table holds the packed contribution to all checks, and a
@@ -75,23 +77,14 @@ class ParityMatrix:
         Bit r*b+p of packed vector s is coefficient p of H[r][col] * x^s.
         """
         if self._packed is None:
-            ctx = self.ctx
-            b = ctx.degree
-            cols = []
-            for j in range(self.num_cols):
-                base = [self.rows[r][j] for r in range(self.num_rows)]
-                slots = []
-                shifted = list(base)
-                for _ in range(b):
-                    acc = 0
-                    for r, v in enumerate(shifted):
-                        if v:
-                            acc |= v << (r * b)
-                    slots.append(acc)
-                    shifted = [ctx.mul(v, 2) if ctx.degree > 1 else v
-                               for v in shifted]
-                cols.append(slots)
-            self._packed = cols
+            b, walk = self.ctx.degree, self.ctx._x_multiples
+
+            def pack(col):
+                return sum(v << (r * b) for r, v in enumerate(col))
+
+            # one walk per column, every row's entry in its own lane
+            ones = pack([1] * self.num_rows)
+            self._packed = [walk(pack(col), ones) for col in zip(*self.rows)]
         return self._packed
 
     def _syndrome_tables(self) -> list[list[list[int]]]:

@@ -135,6 +135,28 @@ def test_uncorrectable_grid_exits_one(tmp_path, capsys):
     assert report["residual"]
 
 
+def test_every_erasure_mode_lists_its_residual_row_major(tmp_path, capsys):
+    grid_file = tmp_path / "grid.json"
+    data_file = tmp_path / "data.json"
+    data_file.write_text(json.dumps([i % 8 for i in range(11)]))
+    code, _, _ = run(capsys, "encode", "--code", "C(5,[1,1,2,5])",
+                     "--data", str(data_file), "--out", str(grid_file))
+    assert code == 0
+    doc = json.loads(grid_file.read_text())
+    for r in range(3):
+        for c in range(2):
+            doc["cells"][r][c] = None
+    grid_file.write_text(json.dumps(doc))
+    want = [[r, c] for r in range(3) for c in range(2)]
+    for mode in ("rows", "cols", "iterative"):
+        report_file = tmp_path / ("report-%s.json" % mode)
+        code, _, _ = run(capsys, "decode", str(grid_file),
+                         "--code", "C(5,[1,1,2,5])", "--mode", mode,
+                         "--report", str(report_file))
+        assert code == 1
+        assert json.loads(report_file.read_text())["residual"] == want, mode
+
+
 @pytest.mark.parametrize("mode", ["rows", "cols", "iterative"])
 def test_clean_grid_that_is_not_a_codeword_fails(tmp_path, capsys, mode):
     grid_file = tmp_path / "grid.json"

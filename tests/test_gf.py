@@ -213,10 +213,11 @@ def test_repr_and_hex_forms():
     assert default_field(8).symbol_hex(10) == "0a"
 
 
-# degree 20 is polynomial-backed with a 4-bit top chunk; degree 8 is
-# also forced onto the polynomial representation; gf512, gf4096, gf65536
-# and aop13 (degree 12 over the all-ones modulus) run row_sum through
-# split byte tables and syndromes through one 16-bit pack per word
+# degree 20 is polynomial-backed with a 4-bit top chunk; degrees 8, 12
+# and 16 are also forced onto the polynomial representation; gf512,
+# gf4096, gf65536, aop13 (degree 12 over the all-ones modulus), poly12
+# and poly16 run row_sum through split byte tables and syndromes through
+# one 16-bit pack per word
 KERNEL_FIELDS = {
     "gf2": lambda: default_field(1),
     "gf8": lambda: default_field(3),
@@ -228,6 +229,8 @@ KERNEL_FIELDS = {
     "aop13": lambda: build_aop_field(13),
     "poly20": lambda: default_field(20),
     "poly8": lambda: build_field(8, DEFAULT_MODULI[8], "polynomial"),
+    "poly12": lambda: build_field(12, DEFAULT_MODULI[12], "polynomial"),
+    "poly16": lambda: build_field(16, DEFAULT_MODULI[16], "polynomial"),
 }
 
 
@@ -267,6 +270,47 @@ def test_table_kernels_match_scalar_multiplication(field):
                 for c, v in enumerate(row):
                     want[c] ^= ctx.mul(w, v)
             assert ctx.row_sum(weights, rows) == want, (weights, rows)
+
+
+@pytest.mark.parametrize("field", ["gf8", "gf256", "gf65536", "aop13",
+                                   "poly8", "poly16"])
+def test_tables_are_built_with_no_multiply_call(field, monkeypatch):
+    ctx = KERNEL_FIELDS[field]()
+    calls = []
+    real_mul = FieldContext.mul
+
+    def counted(self, a, b):
+        calls.append((a, b))
+        return real_mul(self, a, b)
+
+    monkeypatch.setattr(FieldContext, "mul", counted)
+    w, b = ctx.size - 3, ctx.degree
+    if b <= 8:
+        tables = [(list(ctx._product_table(w)), 0)]
+    else:
+        lo_lo, hi_lo, lo_hi, hi_hi = ctx._split_tables(w)
+        # the products of a symbol's low byte, then of its high byte
+        tables = [([lo | hi << 8 for lo, hi in zip(lo_lo, lo_hi)], 0),
+                  ([lo | hi << 8 for lo, hi in zip(hi_lo, hi_hi)], 8)]
+    rows = [[w, 1, 0, ctx.size - 1], [3, 0, 2, 5]]
+    packed = ParityMatrix(ctx, rows).packed_columns()
+    assert not calls
+    for table, shift in tables:
+        chunk = min(ctx.size, 256) if shift == 0 else ctx.size >> 8
+        assert table[:chunk] == [real_mul(ctx, w, v << shift)
+                                 for v in range(chunk)], shift
+        assert not any(table[chunk:])
+    for j, slots in enumerate(packed):
+        for s, vec in enumerate(slots):
+            assert vec == sum(real_mul(ctx, row[j], 1 << s) << (r * b)
+                              for r, row in enumerate(rows)), (j, s)
+
+
+def test_large_all_ones_field_is_polynomial_backed():
+    ctx = build_aop_field(19)
+    assert ctx.degree == 18 and ctx.representation == "polynomial"
+    assert ctx.alpha == 2 and ctx.alpha_order == 19
+    assert ctx.pow(2, 19) == 1
 
 
 def test_split_row_sum_admits_on_second_sighting_and_evicts_at_the_cap():

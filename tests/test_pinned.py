@@ -1,8 +1,8 @@
 """Pinned outputs: a seeded panel of encodes and decodes hashed whole.
 
 A change meant to keep outputs byte-identical (a faster kernel, a
-skipped re-check) must leave PANEL_SHA256 as it is.  A change meant to
-alter outputs updates the hash and says why.
+skipped re-check) must leave PANEL_SHA256 and POLY_PANEL_SHA256 as they
+are.  A change meant to alter outputs updates the hash and says why.
 """
 
 from __future__ import annotations
@@ -12,11 +12,15 @@ import random
 
 from epcodes.eii import build_eii
 from epcodes.errmode import decode_errors_erasures
-from epcodes.gf import build_aop_field, default_field
+from epcodes.gf import (DEFAULT_MODULI, build_aop_field, build_field,
+                        default_field)
 from epcodes.layout import encode_balanced, iterative_decode
 
 # repr(panel()) hashed at commit b368175
 PANEL_SHA256 = "d511e74a07603203fb7e6167656313094b517240185be9e387286f5235fcfcbc"
+
+# repr(poly_panel()) hashed at commit 138db35
+POLY_PANEL_SHA256 = "c84afda09bdfd6c0629beaea6fc00fbd2ee5a6b421c50cc085a2da9205add78f"
 
 
 def _grid(g):
@@ -53,6 +57,25 @@ def _error_ops(code, rng, count, max_rows):
     return records
 
 
+def _erasure_ops(code, rng, count, max_cells):
+    """Tail encode, erase up to max_cells junk-filled cells, then
+    iterative_decode."""
+    size = code.ctx.size
+    every = [(r, c) for r in range(code.m) for c in range(code.n)]
+    records = []
+    for _ in range(count):
+        data = [rng.randrange(size) for _ in range(code.dimension())]
+        enc = code.encode(data)
+        grid = enc.copy()
+        for r, c in rng.sample(every, rng.randint(1, max_cells)):
+            grid.cells[r][c] = rng.randrange(size)
+            grid.erase(r, c)
+        rep = iterative_decode(code, grid)
+        records.append((_grid(enc), _grid(grid), rep.status, _grid(rep.grid),
+                        sorted(rep.corrected_rows), rep.residual, rep.passes))
+    return records
+
+
 def panel() -> list:
     """The records the hash covers; well under a second in all."""
     rng = random.Random(20240)
@@ -66,20 +89,29 @@ def panel() -> list:
     records += _error_ops(aop, rng, 6, 3)
     # GF(2^8): tail encode and iterative erasure decoding
     narrow = build_eii(default_field(8), 16, (2, 2, 3, 4, 4, 6, 8, 16))
-    every = [(r, c) for r in range(narrow.m) for c in range(narrow.n)]
-    for _ in range(20):
-        data = [rng.randrange(256) for _ in range(narrow.dimension())]
-        enc = narrow.encode(data)
-        grid = enc.copy()
-        for r, c in rng.sample(every, rng.randint(1, 50)):
-            grid.cells[r][c] = rng.randrange(256)
-            grid.erase(r, c)
-        rep = iterative_decode(narrow, grid)
-        records.append((_grid(enc), _grid(grid), rep.status, _grid(rep.grid),
-                        sorted(rep.corrected_rows), rep.residual, rep.passes))
+    records += _erasure_ops(narrow, rng, 20, 50)
+    return records
+
+
+def poly_panel() -> list:
+    """Encodes and decodes on fields forced onto the polynomial
+    representation, with alpha = x; a fraction of a second."""
+    rng = random.Random(20250)
+    records = []
+    for degree, entries in [(8, (1, 2, 2, 3, 4, 10)),
+                            (12, (1, 2, 3, 3, 5, 10))]:
+        ctx = build_field(degree, DEFAULT_MODULI[degree], "polynomial")
+        code = build_eii(ctx, 10, entries)
+        records += _error_ops(code, rng, 6, 3)
+        records += _erasure_ops(code, rng, 6, 20)
     return records
 
 
 def test_seeded_panel_outputs_match_the_pinned_hash():
     got = hashlib.sha256(repr(panel()).encode()).hexdigest()
     assert got == PANEL_SHA256
+
+
+def test_polynomial_panel_outputs_match_the_pinned_hash():
+    got = hashlib.sha256(repr(poly_panel()).encode()).hexdigest()
+    assert got == POLY_PANEL_SHA256
