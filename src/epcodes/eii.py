@@ -13,7 +13,9 @@ budget at least the i-th distinct level.  Erasure decoding isolates
 each unresolved row in closed form: weighting row j by Q(alpha**j), where
 Q(z) multiplies (z + alpha**i) over the other unresolved rows, cancels
 them, and the row is corrected in the deepest code that weighted sum
-belongs to.
+belongs to.  Encoding replays those steps on the parity cells, compiled
+once per parity mask: each fills exactly its code's budget, so each is
+a fixed linear map of cells already known.
 """
 
 from __future__ import annotations
@@ -263,6 +265,8 @@ class EiiCode:
         self._powers: dict[int, list[int]] = {}
         # per (target, pending), the weights of isolated_combination
         self._isolation: dict[tuple, list[int]] = {}
+        # per parity mask, its compiled fill (see _schedule)
+        self._schedules: dict[tuple, tuple] = {}
 
     @property
     def m(self) -> int:
@@ -332,6 +336,10 @@ class EiiCode:
         The weights are kept per (target, pending), for up to
         _ISOLATION_CACHE_CAP keys.
         """
+        return self.ctx.row_sum(self._isolation_weights(target, pending),
+                                cells)
+
+    def _isolation_weights(self, target: int, pending) -> list[int]:
         key = (target, tuple(pending))
         weights = self._isolation.get(key)
         if weights is None:
@@ -349,7 +357,7 @@ class EiiCode:
             if len(self._isolation) >= _ISOLATION_CACHE_CAP:
                 self._isolation.clear()
             self._isolation[key] = weights
-        return self.ctx.row_sum(weights, cells)
+        return weights
 
     def peel(self, grid: SymbolGrid, order, decode) -> tuple[list, int]:
         """Resolve the rows of `order` in place, last first; the rest are known.
@@ -440,18 +448,29 @@ class EiiCode:
 
     def encode(self, data) -> SymbolGrid:
         """Fill the tail parity layout around the data symbols."""
-        return self.encode_around(data, self._tail_mask, self.decode_rows)
+        return self.encode_around(data, self._tail_mask)
 
-    def encode_around(self, data, parity, decode) -> SymbolGrid:
+    def encode_around(self, data, parity) -> SymbolGrid:
         """The codeword with `data`, in row-major order, in the cells where
-        the m x n mask `parity` is false.
+        the m x n mask `parity`, a tuple of row tuples, is false.
 
-        The grid goes to decode(grid) with the parity cells erased, and
-        decode must return a FullyCorrected report: the tail layout
-        clears in one decode_rows, the balanced one in one column pass.
+        The parity cells are filled by the mask's schedule (_schedule),
+        compiled on the first call with the mask: the steps one
+        decode_rows would take on the grid erased there, each a fixed
+        linear map of known cells.  The tail layout has one; the
+        balanced layout has one for the column code (see
+        layout.encode_balanced).  A mask with no schedule raises
+        AssertionError.
         """
+        cells = self._fill_around(data, parity)
+        return SymbolGrid._of(cells, [[False] * self.n for _ in range(self.m)])
+
+    def _fill_around(self, data, parity, places=None) -> list[list[int]]:
+        """The cells of encode_around.  With places, data[places[r][c]]
+        goes to cell (r, c) in place of the row-major order; a parity
+        cell's place is one past the data."""
+        want, row_major, steps = self._schedule(parity)
         data = list(data)
-        want = sum(row.count(False) for row in parity)
         if len(data) != want:
             raise WrongDataLength("want %d data symbols, got %d"
                                   % (want, len(data)))
@@ -460,12 +479,57 @@ class EiiCode:
                 and min(data, default=0) >= 0 and max(data, default=0) < size):
             for v in data:
                 self.ctx.check(v)  # raises on the first bad symbol
-        symbols = iter(data)
-        cells = [[0 if p else next(symbols) for p in row] for row in parity]
-        report = decode(SymbolGrid(cells, parity))
-        if report.status != FULLY_CORRECTED:
+        data.append(0)
+        cells = [list(map(data.__getitem__, row))
+                 for row in (row_major if places is None else places)]
+        packed = [None] * self.m  # a row's bytes for row_sum, once final
+        for r, pending, code, erased in steps:
+            if pending is None:
+                cells[r] = code.fill(cells[r], erased)
+                continue
+            # as in peel: fill the row plus the known part of its
+            # isolated combination, then take the known part off
+            known = self.ctx.row_sum(self._isolation_weights(r, pending),
+                                     cells, packed)
+            word = [k ^ v for k, v in zip(known, cells[r])]
+            cells[r] = [d ^ k for d, k in zip(code.fill(word, erased), known)]
+        return cells
+
+    def _schedule(self, parity) -> tuple:
+        """(data count, row-major places, steps) for a parity mask.
+
+        The steps are those decode_rows takes on a grid erased on the
+        mask, found from the rows' erasure counts alone: decode_outer_rows
+        fills each row within the outermost budget, then peel isolates
+        the rest, least erased first.  A step (row, pending, code,
+        erased) fills the row in code after isolating it against pending
+        (None in the outer stage).  Each must fill exactly its code's
+        budget, to be the fixed linear map RsCode.fill whatever the data.
+        Peel's rotations cannot help: its order is sorted most erased
+        first, so only rows with as many erasures could rotate in.
+        Nothing is built for a fill until it meets a nonzero word.
+        """
+        got = self._schedules.get(parity)
+        if got is not None:
+            return got
+        prof = self.profile
+        erased = [tuple(compress(range(self.n), row)) for row in parity]
+        plan, left = [], []
+        for r, e in enumerate(erased):
+            if len(e) > prof.levels[0]:
+                left.append((-len(e), r))
+            elif e:
+                plan.append((r, None, 0))
+        order = [r for _, r in sorted(left)]
+        while order:
+            r = order.pop()
+            plan.append((r, tuple(order), prof.combo_level(len(order))))
+        if any(len(erased[r]) != prof.levels[i] for r, _, i in plan):
             raise AssertionError("parity cells failed to decode")
-        return report.grid
+        got = self._schedules[parity] = (
+            sum(row.count(False) for row in parity), _places(parity),
+            [(r, pending, self.row_code(i), erased[r]) for r, pending, i in plan])
+        return got
 
     # -- smallest-support codewords -------------------------------------
 
@@ -526,6 +590,14 @@ class EiiCode:
                 for h in self.row_code(i).parity_check().rows:
                     rows.append([ctx.mul(w, v) for w in weights for v in h])
         return ParityMatrix(ctx, rows)
+
+
+def _places(parity) -> list[list[int]]:
+    """Per cell of a parity mask, its index in data placed row-major in
+    the cells off the mask; a parity cell's is one past the data."""
+    want = sum(row.count(False) for row in parity)
+    index = iter(range(want))
+    return [[want if p else next(index) for p in row] for row in parity]
 
 
 def build_eii(context: FieldContext, n: int, entries) -> EiiCode:

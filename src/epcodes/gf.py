@@ -133,12 +133,13 @@ class FieldContext:
         # together once SPLIT_CACHE_CAP weights hold them
         self._byte_tables: dict[int, bytes | tuple[bytes, ...]] = {}
         self._seen: set[int] = set()
-        # per (n, u), the syndrome tables and the tail encoder's rows and
+        # per (n, u), the syndrome tables, and per (n, u) for the tail or
+        # (n, erased positions) otherwise, the fill matrices' rows and
         # tables that RS codes over this context share (see
         # rs.RsCode.parity_check and rs.RsCode._encoder); plain ints only,
         # so nothing cached here refers back to the context
         self.syndrome_tables: dict[tuple[int, int], list] = {}
-        self.encoder_tables: dict[tuple[int, int], tuple] = {}
+        self.encoder_tables: dict[tuple, tuple] = {}
 
         if representation == "table":
             self._build_tables()
@@ -225,7 +226,7 @@ class FieldContext:
             return self._exp[(self._log[a] * e) % (self.size - 1)]
         return p2.powmod(a, e, self.modulus)
 
-    def row_sum(self, weights, rows) -> list[int]:
+    def row_sum(self, weights, rows, packed=None) -> list[int]:
         """sum_j weights[j] * rows[j] over equal-length rows of elements.
 
         Zero weights and all-zero rows are skipped.  Up to degree 16 each
@@ -236,20 +237,32 @@ class FieldContext:
         high bytes and a weight has four tables (see _split_tables),
         built on the weight's second sighting; the first time, and above
         degree 16, the row is multiplied symbol by symbol.
+
+        A caller summing the same rows under several weight lists may
+        pass packed, one slot per row, initially None: a row's bytes are
+        kept there once made (empty for a zero row) and reused, so a row
+        must not change once its slot is set.
         """
         n = len(rows[0])
+        if packed is None:
+            packed = [None] * len(rows)
         if self.degree <= 8:
             tables = self._byte_tables
             acc = 0
-            for w, row in zip(weights, rows):
-                if w and any(row):
-                    tab = tables.get(w)
-                    if tab is None:
-                        tab = tables[w] = self._product_table(w)
-                    acc ^= int.from_bytes(bytes(row).translate(tab), "little")
+            for j, w in enumerate(weights):
+                if w:
+                    raw = packed[j]
+                    if raw is None:
+                        row = rows[j]
+                        raw = packed[j] = bytes(row) if any(row) else b""
+                    if raw:
+                        tab = tables.get(w)
+                        if tab is None:
+                            tab = tables[w] = self._product_table(w)
+                        acc ^= int.from_bytes(raw.translate(tab), "little")
             return list(acc.to_bytes(n, "little"))
         if self.degree <= 16:
-            return self._split_row_sum(weights, rows, n)
+            return self._split_row_sum(weights, rows, n, packed)
         mul = self.mul
         out = [0] * n
         for w, row in zip(weights, rows):
@@ -259,7 +272,7 @@ class FieldContext:
                         out[c] ^= mul(w, v)
         return out
 
-    def _split_row_sum(self, weights, rows, n: int) -> list[int]:
+    def _split_row_sum(self, weights, rows, n: int, packed: list) -> list[int]:
         """row_sum from degree 9 to 16.
 
         A row packs to 2n little-endian bytes, low byte first in each
@@ -275,8 +288,14 @@ class FieldContext:
         pack = words.pack
         acc = 0
         out = None
-        for w, row in zip(weights, rows):
-            if not w or not any(row):
+        for j, w in enumerate(weights):
+            if not w:
+                continue
+            raw = packed[j]
+            if raw is None:
+                row = rows[j]
+                raw = packed[j] = pack(*row) if any(row) else b""
+            if not raw:
                 continue
             tab = tables.get(w)
             if tab is None:
@@ -287,14 +306,13 @@ class FieldContext:
                     seen.add(w)
                     if out is None:
                         out = [0] * n
-                    for c, v in enumerate(row):
+                    for c, v in enumerate(rows[j]):
                         if v:
                             out[c] ^= mul(w, v)
                     continue
                 if len(tables) >= SPLIT_CACHE_CAP:
                     tables.clear()
                 tab = tables[w] = self._split_tables(w)
-            raw = pack(*row)
             lo_lo, hi_lo, lo_hi, hi_hi = tab
             acc ^= int.from_bytes(raw.translate(lo_lo) + raw.translate(hi_lo)
                                   + raw.translate(lo_hi) + raw.translate(hi_hi),

@@ -6,8 +6,9 @@ entry j of u' counts the rows whose parity budget exceeds n - 1 - j.
 That duality buys two things.  First, a grid that row decoding alone
 cannot finish may still be recovered by alternating row and column
 passes.  Second, the parity cells do not have to sit at the end of each
-row: any erasure pattern the column code can clear is a legal home for
-them, and a nearly uniform pattern always exists.
+row: any pattern one column pass clears, with every column filled in a
+code whose budget it exactly uses, is a legal home for them, and a
+nearly uniform pattern always exists.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 
-from .eii import DecodeReport, EiiCode, Profile, SymbolGrid
+from .eii import DecodeReport, EiiCode, Profile, SymbolGrid, _places
 
 TAIL = "tail"
 BALANCED = "balanced"
@@ -139,20 +140,26 @@ def balanced_layout(profile: Profile) -> ParityLayout:
 
 
 @functools.lru_cache(maxsize=16)
-def _balanced_mask(profile: Profile) -> tuple[tuple[bool, ...], ...]:
-    """The cells of balanced_layout as an m x n mask of flags."""
+def _balanced_fill(profile: Profile) -> tuple:
+    """The column code's parity mask for balanced_layout, n x m, and per
+    column the places of its cells in the data, which runs row-major
+    over the grid (see eii._places)."""
     parity = balanced_layout(profile).positions
-    return tuple(tuple((r, c) in parity for c in range(profile.n))
-                 for r in range(profile.m))
+    mask = [[(r, c) in parity for c in range(profile.n)]
+            for r in range(profile.m)]
+    return tuple(zip(*mask)), list(zip(*_places(mask)))
 
 
 def encode_balanced(code: EiiCode, data) -> SymbolGrid:
     """Systematic encoding with the balanced parity placement.
 
-    Data symbols fill the non-parity cells in row-major order; the
-    parity cells are treated as erasures and resolved by one column
-    pass of the transposed code.  The construction guarantees that
-    pass always succeeds and that the result is a codeword.
+    Data symbols fill the non-parity cells in row-major order, gathered
+    straight into the column code's rows.  The parity cells are filled by
+    the column code's schedule for them (EiiCode.encode_around), the
+    steps of one column pass, which the construction guarantees clears
+    them, so the result is a codeword.
     """
-    return code.encode_around(data, _balanced_mask(code.profile),
-                              functools.partial(_decode_cols, code))
+    mask, places = _balanced_fill(code.profile)
+    cols = transpose_code(code)._fill_around(data, mask, places)
+    return SymbolGrid._of(list(map(list, zip(*cols))),
+                          [[False] * code.n for _ in range(code.m)])

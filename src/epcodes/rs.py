@@ -6,18 +6,21 @@ A code of length n with u parities is the set of words c satisfying
 
 which is MDS with minimum distance u+1 whenever alpha has order >= n.
 Codes over the same context nest by construction: more parities means a
-subcode.  Erasures are filled in closed form, and the last u positions,
-where a systematic encode puts the parity, by one table-driven matrix
-product; with errors as well,
-Berlekamp-Massey seeded with the erasures locates the errata, a Chien
-search over the error locator alone finds the errors, and the same fill
-supplies the values.  With one parity the syndrome is the plain sum of
-the word.  Decoding failures are returned as None, never raised.
+subcode.  Erasures are filled in closed form.  Exactly u erasures at
+positions fixed in advance, as an encode has, are a fixed linear map of
+the rest (fill), applied by one table-driven matrix product; with errors
+as well, Berlekamp-Massey seeded with the erasures locates the errata, a
+Chien search over the error locator alone finds the errors, and the same
+fill supplies the values.  With one parity the syndrome is the plain sum
+of the word, and a lone erasure is the sum of the rest.  With u = n the
+code is {0}, decided without any check matrix.  Decoding failures are
+returned as None, never raised.
 """
 
 from __future__ import annotations
 
 from functools import reduce
+from itertools import repeat
 from operator import xor
 
 from .gf import FieldContext
@@ -45,8 +48,11 @@ class RsCode:
         self.n = n
         self.u = u
         self._h: ParityMatrix | None = None
+        self._tail = tuple(range(n - u, n))
+        # per erased position tuple, the other positions and F once built
+        # (see fill); _f is the tail's F
+        self._fills: dict[tuple, list] = {}
         self._f: ParityMatrix | None = None
-        self._tail = list(range(n - u, n))
         # position locators alpha**j, reused by every decode
         self._loc = [ctx.alpha_pow(j) for j in range(n)]
 
@@ -69,29 +75,66 @@ class RsCode:
             self._h = ParityMatrix(ctx, rows, tables)
         return self._h
 
-    def _encoder(self) -> ParityMatrix:
-        """F, u x (n - u), with y[n-u:] = F * y[:n-u] for every codeword y.
+    def _encoder(self, erased: tuple) -> ParityMatrix:
+        """F, u x (n - u), with y[erased] = F * y[rest] for every codeword
+        y, where erased lists u positions in increasing order and rest
+        the others.
 
-        Column j is the tail of the codeword that is 1 at position j and
-        0 on the rest of the first n - u.  That codeword lives on j and
-        the tail, u + 1 positions, so its values are the difference
-        weights of their locators, scaled to 1 at j.  Needs 0 < u < n.
+        Column j is the erased part of the codeword that is 1 at the j-th
+        position of rest and 0 on the others there.  That codeword lives
+        on u + 1 positions, so its values are the difference weights of
+        their locators, scaled to 1 at that position.  Needs 0 < u < n.
         """
-        if self._f is None:
-            ctx = self.ctx
-            key = (self.n, self.u)
-            if key not in ctx.encoder_tables:
-                tail = self._loc[self.dimension:]
-                cols = []
-                for x in self._loc[:self.dimension]:
-                    w = difference_weights(ctx, [x] + tail)
+        ctx = self.ctx
+        key = (self.n, self.u) if erased == self._tail else (self.n, erased)
+        if key not in ctx.encoder_tables:
+            locs = [self._loc[j] for j in erased]
+            cols = []
+            for j, x in enumerate(self._loc):
+                if j not in erased:
+                    w = difference_weights(ctx, [x] + locs)
                     scale = ctx.inv(w[0])
                     cols.append([ctx.mul(scale, v) for v in w[1:]])
-                # rows and tables, shared per (n, u) like the syndrome
-                # tables, so a code built per call reuses both
-                ctx.encoder_tables[key] = (list(zip(*cols)), [])
-            self._f = ParityMatrix(ctx, *ctx.encoder_tables[key])
-        return self._f
+            # rows and tables, shared per (n, u) for the tail and per
+            # (n, erased) otherwise, so a code built per call reuses both
+            ctx.encoder_tables[key] = (list(zip(*cols)), [])
+        return ParityMatrix(ctx, *ctx.encoder_tables[key])
+
+    def fill(self, word: list[int], erased: tuple) -> list[int]:
+        """The codeword equal to word off erased, a tuple of exactly u
+        positions in increasing order.
+
+        The erased values are a fixed linear map of the rest: 0 in the
+        zero code (u = n), the sum of the rest with one check, and
+        otherwise F * rest with F = _encoder(erased), built on the first
+        nonzero rest and kept per position tuple.
+        """
+        n, u = self.n, self.u
+        if u == n:
+            return [0] * n
+        y = list(word)
+        if u == 1:
+            j, = erased
+            y[j] = 0
+            y[j] = reduce(xor, y)
+            return y
+        entry = self._fills.get(erased)
+        if entry is None:
+            entry = self._fills[erased] = [
+                [j for j in range(n) if j not in erased], None]
+        kept, f = entry
+        rest = [y[j] for j in kept]
+        if any(rest):
+            if f is None:
+                f = entry[1] = self._encoder(erased)
+                if erased == self._tail:
+                    self._f = f
+            vals = f.syndrome(rest)
+        else:
+            vals = repeat(0)
+        for j, v in zip(erased, vals):
+            y[j] = v
+        return y
 
     def syndromes(self, word: list[int]) -> list[int]:
         if len(word) != self.n:
@@ -103,6 +146,8 @@ class RsCode:
         return self.parity_check().syndrome(word) if self.u else []
 
     def contains(self, word: list[int]) -> bool:
+        if self.u == self.n:
+            return not any(word)  # the zero code
         return not any(self.syndromes(word))
 
     def _locator(self, positions: list[int]) -> list[int]:
@@ -130,22 +175,22 @@ class RsCode:
         u - e checks must then hold as well.  None when e > u or when the
         non-erased part is inconsistent with every codeword.
 
-        When the erasures are exactly the last u positions, the tail is
-        the systematic encoder applied to the rest, with no solve; a zero
-        rest needs no encoder at all.
+        In the zero code (u = n) the result is 0 exactly when every known
+        symbol is.  One erasure under one check, or exactly the last u
+        positions, is filled by fill, with no solve.
         """
-        e = sorted(set(erasures))
-        if e and e == self._tail:
-            if len(word) != self.n:
-                raise ValueError("word length %d != n=%d" % (len(word), self.n))
-            data = word[:self.dimension]
-            return data + (self._encoder().syndrome(data) if any(data)
-                           else [0] * self.u)
+        e = tuple(sorted(set(erasures)))
+        if len(word) != self.n:
+            raise ValueError("word length %d != n=%d" % (len(word), self.n))
         if len(e) > self.u:
             return None
         y = list(word)
         for j in e:
             y[j] = 0
+        if self.u == self.n:
+            return None if any(y) else y
+        if e and (self.u == 1 or e == self._tail):
+            return self.fill(y, e)
         syn = self.syndromes(y)
         if not any(syn):
             return y
@@ -184,7 +229,9 @@ class RsCode:
         count is the number of known positions the fill changed.  The
         result is the codeword within capability of the received word
         when there is one, and None otherwise: beyond capability a
-        codeword is returned only if one happens to sit that close.
+        codeword is returned only if one happens to sit that close.  In
+        the zero code (u = n) the errors are the nonzero known symbols,
+        counted with no syndrome.
         """
         e = sorted(set(erasures))
         u = self.u
@@ -194,6 +241,10 @@ class RsCode:
         y = list(word)
         for j in e:
             y[j] = 0
+        if u == self.n:
+            # the zero code: every nonzero known symbol is an error
+            errs = sum(map(bool, y))
+            return ([0] * u, errs) if 2 * errs + len(e) <= u else None
         syn = self.syndromes(y)
         if not any(syn) and not e:
             return y, 0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import gc
 import itertools
 import math
@@ -23,7 +24,7 @@ from epcodes.eii import (
     make_profile,
     row_correctable,
 )
-from epcodes import linalg
+from epcodes import layout, linalg
 from epcodes.epc import exhaustive_min_distance, matrix_erasure_decode
 from epcodes.errmode import decode_errors_erasures
 from epcodes.gf import (DEFAULT_MODULI, ContextMismatch, FieldContext,
@@ -546,3 +547,69 @@ def test_zero_encode_builds_no_tail_tables():
     data = [1] + [0] * (code.dimension() - 1)
     assert code.is_codeword(code.encode(data))
     assert set(ctx.encoder_tables) == {(32, 4), (32, 8)}
+
+
+@pytest.mark.parametrize("degree", [8, 16])
+def test_zero_encodes_of_both_layouts_build_no_tables(degree):
+    # a schedule compiles from the mask alone and a fill meets only zero
+    # words, so nothing lands in the context's caches
+    ctx = FieldContext(degree, DEFAULT_MODULI[degree])
+    code = build_eii(ctx, 32, (4,) * 14 + (8, 32))
+    zeros = [0] * code.dimension()
+    assert code.encode(zeros) == SymbolGrid.zeros(16, 32)
+    assert encode_balanced(code, zeros) == SymbolGrid.zeros(16, 32)
+    assert not ctx.encoder_tables and not ctx.syndrome_tables
+    assert not ctx._byte_tables and not ctx._seen
+
+
+SCHEDULE_FIELDS = {
+    "gf8": GF8,
+    "gf16": default_field(4),
+    "gf65536": default_field(16),
+    "aop11": build_aop_field(11),
+    "poly32": build_field(5, DEFAULT_MODULI[5], "polynomial"),
+}
+
+
+def _decoded_around(code, data, parity, decode):
+    """The encode as one decode pass: data row-major off the parity
+    cells, the parity cells erased, then decode."""
+    symbols = iter(data)
+    cells = [[0 if (r, c) in parity else next(symbols) for c in range(code.n)]
+             for r in range(code.m)]
+    mask = [[(r, c) in parity for c in range(code.n)] for r in range(code.m)]
+    report = decode(SymbolGrid(cells, mask))
+    assert report.status == "FullyCorrected"
+    return report.grid
+
+
+@pytest.mark.parametrize("field", SCHEDULE_FIELDS)
+def test_compiled_encodes_match_one_decode_pass(field):
+    # each layout's schedule against the route it replaces: the tail
+    # cleared by decode_rows, the balanced cells by one column pass
+    ctx = SCHEDULE_FIELDS[field]
+    rng = random.Random("schedule-" + field)
+    top = min(9, ctx.size - 1 if ctx.alpha_order is None else ctx.alpha_order)
+    for _ in range(12):
+        m, n = rng.randint(1, top), rng.randint(1, top)
+        code = build_eii(ctx, n, sorted(rng.randint(0, n) for _ in range(m)))
+        routes = [(EiiCode.encode, tail_layout, code.decode_rows),
+                  (encode_balanced, balanced_layout,
+                   functools.partial(layout._decode_cols, code))]
+        for encoder, place, decode in routes:
+            data = [rng.randrange(ctx.size) for _ in range(code.dimension())]
+            grid = encoder(code, data)
+            parity = place(code.profile).positions
+            assert grid == _decoded_around(code, data, parity, decode), (
+                code.profile, place)
+            assert code.is_codeword(grid)
+
+
+def test_a_mask_with_no_schedule_raises():
+    # one erased cell per row under a budget of 2 leaves a spare check,
+    # which random data breaks: no fixed fill exists
+    code = build_eii(GF8, 7, (2, 2, 3))
+    mask = tuple((False,) * 6 + (True,) for _ in range(3))
+    rng = random.Random(27)
+    with pytest.raises(AssertionError, match="parity cells failed to decode"):
+        code.encode_around([rng.randrange(8) for _ in range(18)], mask)

@@ -17,7 +17,8 @@ from epcodes.errmode import (
     UNRESOLVED,
     decode_errors_erasures,
 )
-from epcodes.gf import build_aop_field, build_field, default_field
+from epcodes.gf import (DEFAULT_MODULI, FieldContext, build_aop_field,
+                        build_field, default_field)
 from epcodes.layout import encode_balanced
 
 GF8 = default_field(3)
@@ -364,3 +365,21 @@ def test_guard_property_reaches_the_fallback_and_beyond_the_radius():
             fallback += report.fallback_used
             beyond += past
     assert fallback > 0 and beyond > 0
+
+
+def test_an_errors_panel_builds_no_check_tables_for_the_zero_code():
+    # the all-parity levels of the code (32, 32) and of its column code
+    # (16, 16) are the code {0}: the guard, the peel and the fallback
+    # decide them with no check matrix
+    ctx = FieldContext(8, DEFAULT_MODULI[8])
+    code = build_eii(ctx, 32, (4,) * 14 + (8, 32))
+    rng = random.Random(27)
+    outcomes = set()
+    for _ in range(12):
+        sent = encode_balanced(code, [rng.randrange(256)
+                                      for _ in range(code.dimension())])
+        erasures, errors = any_damage(code, rng)
+        report = decode_errors_erasures(code, damaged(sent, erasures, errors))
+        outcomes.add((report.status, report.fallback_used))
+    assert {(CORRECTED, False), (CORRECTED, True)} <= outcomes
+    assert ctx.syndrome_tables and all(n != u for n, u in ctx.syndrome_tables)

@@ -1,8 +1,8 @@
 """Pinned outputs: a seeded panel of encodes and decodes hashed whole.
 
 A change meant to keep outputs byte-identical (a faster kernel, a
-skipped re-check) must leave PANEL_SHA256 and POLY_PANEL_SHA256 as they
-are.  A change meant to alter outputs updates the hash and says why.
+skipped re-check) must leave PANEL_SHA256, POLY_PANEL_SHA256 and
+ENCODE_PANEL_SHA256 as they are.  A change meant to alter outputs updates the hash and says why.
 """
 
 from __future__ import annotations
@@ -21,6 +21,10 @@ PANEL_SHA256 = "d511e74a07603203fb7e6167656313094b517240185be9e387286f5235fcfcbc
 
 # repr(poly_panel()) hashed at commit 138db35
 POLY_PANEL_SHA256 = "c84afda09bdfd6c0629beaea6fc00fbd2ee5a6b421c50cc085a2da9205add78f"
+
+
+# repr(encode_panel()) hashed at commit 2599d0f
+ENCODE_PANEL_SHA256 = "a378ba3910198a9399eb4e961363862e7f10a5eaf429a6f7381dbf477e5544ea"
 
 
 def _grid(g):
@@ -107,6 +111,32 @@ def poly_panel() -> list:
     return records
 
 
+def encode_panel() -> list:
+    """Tail and balanced encodes of a unit word and of random data, on
+    the benchmark profile over GF(2^8) and GF(2^16), and on an
+    all-ones-poly field, a forced-polynomial field and a field of degree
+    17; well under a second."""
+    rng = random.Random(20270)
+    bench = (4,) * 14 + (8, 32)
+    cases = [(default_field(8), 32, bench),
+             (default_field(16), 32, bench),
+             (build_aop_field(13), 10, (1, 2, 2, 3, 4, 10)),
+             (build_field(12, DEFAULT_MODULI[12], "polynomial"), 10,
+              (0, 1, 3, 3, 5, 10)),
+             (default_field(17), 9, (1, 1, 2, 4, 9))]
+    records = []
+    for ctx, n, entries in cases:
+        code = build_eii(ctx, n, entries)
+        k = code.dimension()
+        unit = [0] * k
+        unit[rng.randrange(k)] = rng.randrange(1, ctx.size)
+        for data in [unit] + [[rng.randrange(ctx.size) for _ in range(k)]
+                              for _ in range(2)]:
+            records.append((code.encode(data).cells,
+                            encode_balanced(code, data).cells))
+    return records
+
+
 def test_seeded_panel_outputs_match_the_pinned_hash():
     got = hashlib.sha256(repr(panel()).encode()).hexdigest()
     assert got == PANEL_SHA256
@@ -115,3 +145,8 @@ def test_seeded_panel_outputs_match_the_pinned_hash():
 def test_polynomial_panel_outputs_match_the_pinned_hash():
     got = hashlib.sha256(repr(poly_panel()).encode()).hexdigest()
     assert got == POLY_PANEL_SHA256
+
+
+def test_encode_panel_outputs_match_the_pinned_hash():
+    got = hashlib.sha256(repr(encode_panel()).encode()).hexdigest()
+    assert got == ENCODE_PANEL_SHA256

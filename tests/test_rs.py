@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -399,3 +399,41 @@ def test_error_locator_roots_must_be_distinct_and_off_the_erasures(
     assert [j for j in range(code.n) if j not in erased
             and decoded[j] != word[j]] == sorted(sigma_roots)
     assert nerr == len(sigma_roots)
+
+
+@pytest.mark.parametrize("field", [default_field(2),
+                                   build_field(3, 0b1101, "polynomial")],
+                         ids=["gf4", "poly8"])
+def test_zero_code_decoders_match_brute_force(field):
+    # u = n: the codewords are the words whose every check sums to 0,
+    # found by trying all of them; the decoders must agree on every
+    # received word and erasure set without building the check matrix
+    n = 3
+    code = build_rs(field, n, n)
+    words = [list(w) for w in product(range(field.size), repeat=n)]
+    codewords = [w for w in words
+                 if not any(_check_sum(code, w, r) for r in range(n))]
+    assert codewords == [[0] * n]
+    for word in words:
+        assert code.contains(word) == (word in codewords)
+        for e in range(n + 1):
+            for erased in combinations(range(n), e):
+                known = [j for j in range(n) if j not in erased]
+                fits = [c for c in codewords
+                        if all(c[j] == word[j] for j in known)]
+                assert code.erasure_decode(word, list(erased)) == (
+                    fits[0] if fits else None)
+                dist, nearest = min(
+                    (sum(1 for j in known if c[j] != word[j]), c)
+                    for c in codewords)
+                assert code.error_erasure_decode(word, list(erased)) == (
+                    (nearest, dist) if 2 * dist + e <= n else None)
+    assert code._h is None
+
+
+def _check_sum(code: RsCode, word, r: int) -> int:
+    """sum_j alpha**(r*j) * word_j, check r by its definition."""
+    acc = 0
+    for j, v in enumerate(word):
+        acc ^= code.ctx.mul(code.ctx.alpha_pow(r * j), v)
+    return acc
