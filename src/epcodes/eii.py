@@ -9,13 +9,16 @@ alpha-weighted row combinations
     sum_j alpha**(r*j) * row_j,    r = 0 .. shat_i - 1,
 
 land in the i-th nested row code, where shat_i counts the rows with
-budget at least the i-th distinct level.  Erasure decoding isolates
-each unresolved row in closed form: weighting row j by Q(alpha**j), where
-Q(z) multiplies (z + alpha**i) over the other unresolved rows, cancels
-them, and the row is corrected in the deepest code that weighted sum
-belongs to.  Encoding replays those steps on the parity cells, compiled
-once per parity mask: each fills exactly its code's budget, so each is
-a fixed linear map of cells already known.
+budget at least the i-th distinct level.  Those combinations S_r are the
+decoders' shared state.  Erasure decoding isolates each unresolved row
+in closed form: weighting row j by Q(alpha**j), where Q(z) multiplies
+(z + alpha**i) over the other unresolved rows, cancels them, and the row
+is corrected in the deepest code that weighted sum belongs to.  That sum
+is sum_k c_k * S_k over the coefficients c_k of Q(z) / Q(alpha**row), so
+the peel keeps the S_r, updated at the cells each resolved row changes,
+and membership checks each S_r once.  Encoding replays those steps on
+the parity cells, compiled once per parity mask: each fills exactly its
+code's budget, so each is a fixed linear map of cells already known.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ FULLY_CORRECTED = "FullyCorrected"
 PARTIALLY_CORRECTED = "PartiallyCorrected"
 FAILED = "Failed"
 
-# isolated_combination weight lists one code keeps; cleared when full
+# isolation coefficient lists one code keeps; cleared when full
 _ISOLATION_CACHE_CAP = 256
 
 
@@ -263,7 +266,7 @@ class EiiCode:
                                 for e in profile.entries)
         self._transposed: EiiCode | None = None  # see layout.transpose_code
         self._powers: dict[int, list[int]] = {}
-        # per (target, pending), the weights of isolated_combination
+        # per (target, pending), its isolation coefficients
         self._isolation: dict[tuple, list[int]] = {}
         # per parity mask, its compiled fill (see _schedule)
         self._schedules: dict[tuple, tuple] = {}
@@ -315,14 +318,31 @@ class EiiCode:
         of the rows lies in the nested code of its level.  Decides
         membership alone for rows already known to lie in the outermost
         row code."""
-        ctx = self.ctx
-        for i in range(1, self.profile.t + 1):
-            code = self.row_code(i)
-            for r in range(self.profile.suffix_at(i)):
-                weights = self._combination_weights(r)
-                if not code.contains(ctx.row_sum(weights, cells)):
-                    return False
-        return True
+        return self.sums_hold(self.combination_sums(cells))
+
+    def combination_sums(self, cells, count=None) -> list[list[int]]:
+        """S_r = sum_j alpha**(r*j) * row_j for r < count, by default
+        Profile.suffix_at(1): every combination that membership checks.
+        S_0, all weights 1, is the XOR of the rows."""
+        if count is None:
+            count = self.profile.suffix_at(1)
+        if not count:
+            return []
+        packed = [None] * self.m
+        sums = [self.ctx.xor_rows(cells, packed)]
+        for r in range(1, count):
+            sums.append(self.ctx.row_sum(self._combination_weights(r), cells,
+                                         packed))
+        return sums
+
+    def sums_hold(self, sums) -> bool:
+        """Whether each S_r of combination_sums lies in the row code of
+        combo_level(r).  That code lies in the code of every shallower
+        level i >= 1, the levels with r < suffix_at(i) whose membership
+        condition names S_r, so one check per sum covers them all."""
+        level = self.profile.combo_level
+        return all(self.row_code(level(r)).contains(s)
+                   for r, s in enumerate(sums))
 
     def isolated_combination(self, cells, target: int, pending) -> list[int]:
         """Known part of the combination that isolates row `target`.
@@ -333,33 +353,74 @@ class EiiCode:
         of (z + alpha**i), and it lies in row_code(combo_level(len(pending))).
         Returns its sum over the rows outside pending and target, so the
         cells of those rows must be known; pending rows may hold anything.
-        The weights are kept per (target, pending), for up to
-        _ISOLATION_CACHE_CAP keys.
         """
         return self.ctx.row_sum(self._isolation_weights(target, pending),
                                 cells)
 
     def _isolation_weights(self, target: int, pending) -> list[int]:
-        key = (target, tuple(pending))
-        weights = self._isolation.get(key)
-        if weights is None:
-            mul = self.ctx.mul
-            locs = self._combination_weights(1)
-            weights = []
-            for x in locs:
-                q = 1
-                for i in pending:
-                    q = mul(q, x ^ locs[i])
-                weights.append(q)
-            scale = self.ctx.inv(weights[target])
-            weights[target] = 0
-            weights = [mul(scale, w) for w in weights]
-            if len(self._isolation) >= _ISOLATION_CACHE_CAP:
-                self._isolation.clear()
-            self._isolation[key] = weights
+        """The weights of isolated_combination: the isolation coefficients
+        evaluated at alpha**j for each row j outside pending and target.
+        Q vanishes on pending and target's weight is dropped, so those
+        rows get 0."""
+        coefs = self._isolation_coefficients(target, pending)
+        mul, top, rest, weights = self.ctx.mul, coefs[-1], coefs[-2::-1], []
+        for j, x in enumerate(self._combination_weights(1)):
+            v = 0
+            if j != target and j not in pending:
+                v = top  # by Horner's rule, as _horner
+                for c in rest:
+                    v = mul(v, x) ^ c
+            weights.append(v)
         return weights
 
-    def peel(self, grid: SymbolGrid, order, decode) -> tuple[list, int]:
+    def _isolation_coefficients(self, target: int, pending) -> list[int]:
+        """c_0..c_len(pending), lowest first: Q(z) / Q(alpha**target).
+
+        Combination k weighs row j with alpha**(k*j), so sum_k c_k * S_k
+        weighs it with Q(alpha**j) / Q(alpha**target): 1 on target and 0
+        on each pending row.  Kept per (target, pending), for up to
+        _ISOLATION_CACHE_CAP keys.
+        """
+        key = (target, tuple(pending))
+        coefs = self._isolation.get(key)
+        if coefs is None:
+            mul = self.ctx.mul
+            locs = self._combination_weights(1)
+            q = [1]
+            for i in pending:
+                # times (z + alpha**i): shift up, then add alpha**i * Q
+                a, q = locs[i], [0] + q
+                for k in range(len(q) - 1):
+                    q[k] ^= mul(a, q[k + 1])
+            scale = self.ctx.inv(_horner(mul, q, locs[target]))
+            coefs = [mul(scale, a) for a in q]
+            if len(self._isolation) >= _ISOLATION_CACHE_CAP:
+                self._isolation.clear()
+            self._isolation[key] = coefs
+        return coefs
+
+    def _isolate(self, sums, target: int, pending) -> list[int]:
+        """sum_k c_k * S_k over the isolation coefficients: row `target`
+        plus the known part of its isolated combination, whatever the
+        pending rows hold.  Up to degree 8 through row_sum, whose product
+        tables stay cached; above it symbol by symbol, so that no
+        coefficient, one per pattern, enters the split-table cache."""
+        coefs = self._isolation_coefficients(target, pending)
+        if len(coefs) == 1:
+            return sums[0]  # Q = 1
+        ctx = self.ctx
+        if ctx.degree <= 8:
+            return ctx.row_sum(coefs, sums)
+        mul = ctx.mul
+        out = [0] * self.n
+        for c, row in zip(coefs, sums):
+            for col, v in enumerate(row):
+                if v:
+                    out[col] ^= mul(c, v)
+        return out
+
+    def peel(self, grid: SymbolGrid, order, decode,
+             sums=None) -> tuple[list, int]:
         """Resolve the rows of `order` in place, last first; the rest are known.
 
         order[-1] is isolated against order[:-1] and decode(code, word,
@@ -367,8 +428,14 @@ class EiiCode:
         len(order) - 1.  On failure the order rotates, last row to the
         front, until each row has had the slot.  Returns the rows left
         and the rotation count.
+
+        The isolations read the grid's combination sums S_0, S_1, ...
+        (combination_sums), moved by each resolved row's change.
+        sums, when given, must be the grid's, at least len(order) of
+        them, and is kept up to date; otherwise peel builds its own on
+        its first isolation.
         """
-        order, rotations = list(order), 0
+        order, rotations, own = list(order), 0, sums is None
         while order:
             code = self.row_code(self.profile.combo_level(len(order) - 1))
             for attempt in range(len(order)):
@@ -376,15 +443,25 @@ class EiiCode:
                 erased = grid.erased_in_row(row)
                 # both decoders refuse more erasures than the code's budget
                 if len(erased) <= code.u:
-                    known = self.isolated_combination(grid.cells, row,
-                                                      order[:-1])
-                    word = [k ^ (0 if lost else v) for k, v, lost
-                            in zip(known, grid.cells[row], grid.mask[row])]
+                    if sums is None:
+                        sums = self.combination_sums(grid.cells, len(order))
+                    # the row, junk and all, plus the known part of its
+                    # isolated combination; the junk comes off the word
+                    combo = self._isolate(sums, row, order[:-1])
+                    old = grid.cells[row]
+                    word = [k ^ v if lost else k for k, v, lost
+                            in zip(combo, old, grid.mask[row])]
                     dec = decode(code, word, erased)
                     if dec is not None:
-                        grid.cells[row] = [d ^ k for d, k in zip(dec, known)]
+                        grid.cells[row] = [d ^ k ^ v for d, k, v
+                                           in zip(dec, combo, old)]
                         grid.mask[row] = [False] * self.n
                         order.pop()
+                        if own:
+                            del sums[len(order):]  # only these are read
+                        if sums:
+                            # the row changed by dec + combo
+                            self._add_to_sums(sums, row, dec, combo)
                         break
                 if attempt < len(order) - 1:
                     order = [order[-1]] + order[:-1]
@@ -392,6 +469,22 @@ class EiiCode:
             else:
                 break
         return order, rotations
+
+    def _add_to_sums(self, sums, row: int, new, old) -> None:
+        """Move each S_r by its weight on `row` times the row's change
+        from old to new: by XOR under weight 1, else at the changed
+        cells only."""
+        mul, changes = self.ctx.mul, None
+        for r, s in enumerate(sums):
+            w = self._combination_weights(r)[row]
+            if w == 1:
+                sums[r] = [x ^ a ^ b for x, a, b in zip(s, new, old)]
+                continue
+            if changes is None:
+                changes = [(c, a ^ b) for c, (a, b)
+                           in enumerate(zip(new, old)) if a != b]
+            for c, d in changes:
+                s[c] ^= mul(w, d)
 
     def decode_outer_rows(self, grid: SymbolGrid, rows, decode) -> list[int]:
         """Decode each listed row in place in the outermost row code.
@@ -483,14 +576,13 @@ class EiiCode:
         cells = [list(map(data.__getitem__, row))
                  for row in (row_major if places is None else places)]
         packed = [None] * self.m  # a row's bytes for row_sum, once final
-        for r, pending, code, erased in steps:
-            if pending is None:
+        for r, weights, code, erased in steps:
+            if weights is None:
                 cells[r] = code.fill(cells[r], erased)
                 continue
             # as in peel: fill the row plus the known part of its
             # isolated combination, then take the known part off
-            known = self.ctx.row_sum(self._isolation_weights(r, pending),
-                                     cells, packed)
+            known = self.ctx.row_sum(weights, cells, packed)
             word = [k ^ v for k, v in zip(known, cells[r])]
             cells[r] = [d ^ k for d, k in zip(code.fill(word, erased), known)]
         return cells
@@ -501,10 +593,11 @@ class EiiCode:
         The steps are those decode_rows takes on a grid erased on the
         mask, found from the rows' erasure counts alone: decode_outer_rows
         fills each row within the outermost budget, then peel isolates
-        the rest, least erased first.  A step (row, pending, code,
-        erased) fills the row in code after isolating it against pending
-        (None in the outer stage).  Each must fill exactly its code's
-        budget, to be the fixed linear map RsCode.fill whatever the data.
+        the rest, least erased first.  A step (row, weights, code, erased)
+        fills the row in code after isolating it against the rows still
+        pending with the weights of isolated_combination (None in the
+        outer stage).  Each must fill exactly its code's budget, to be
+        the fixed linear map RsCode.fill whatever the data.
         Peel's rotations cannot help: its order is sorted most erased
         first, so only rows with as many erasures could rotate in.
         Nothing is built for a fill until it meets a nonzero word.
@@ -526,9 +619,11 @@ class EiiCode:
             plan.append((r, tuple(order), prof.combo_level(len(order))))
         if any(len(erased[r]) != prof.levels[i] for r, _, i in plan):
             raise AssertionError("parity cells failed to decode")
+        weights = self._isolation_weights
         got = self._schedules[parity] = (
             sum(row.count(False) for row in parity), _places(parity),
-            [(r, pending, self.row_code(i), erased[r]) for r, pending, i in plan])
+            [(r, None if pending is None else weights(r, pending),
+              self.row_code(i), erased[r]) for r, pending, i in plan])
         return got
 
     # -- smallest-support codewords -------------------------------------
@@ -590,6 +685,14 @@ class EiiCode:
                 for h in self.row_code(i).parity_check().rows:
                     rows.append([ctx.mul(w, v) for w in weights for v in h])
         return ParityMatrix(ctx, rows)
+
+
+def _horner(mul, coefs, x: int) -> int:
+    """The polynomial with coefficients coefs, lowest first, at x."""
+    v = coefs[-1]
+    for c in coefs[-2::-1]:
+        v = mul(v, x) ^ c
+    return v
 
 
 def _places(parity) -> list[list[int]]:

@@ -11,9 +11,11 @@ and rotates the order on failure.
 A decode past its budget can return a wrong word, so every cyclic start
 of the order gives a candidate, and of those that pass the membership
 check the one changing the fewest known cells wins.  The check needs
-only the combinations (EiiCode.combinations_hold): every row of a
-complete candidate already lies in the outermost row code, as the row
-stage's decode or as a nested codeword plus a combination of such rows.
+only the combinations (EiiCode.sums_hold): every row of a complete
+candidate already lies in the outermost row code, as the row stage's
+decode or as a nested codeword plus a combination of such rows.  The
+combination sums are built once from the row stage's output; each
+start's peel reads and updates its own copy, and its check reads that.
 Two candidates differ by a codeword on the peeled rows, so one that
 changes t known cells there, with 2t plus the erasures there below
 Profile.rows_distance, is the nearest and ends the search (the bound of
@@ -71,11 +73,12 @@ def decode_errors_erasures(code: EiiCode, grid: SymbolGrid,
     if k <= prof.suffix_at(1):
         spare = prof.rows_distance(k) - sum(len(work.erased_in_row(r))
                                             for r in order)
+        sums = code.combination_sums(work.cells)
         # with no row left, the row stage's output is the one candidate
         for start in range(max(k, 1)):
-            cand = work.copy()
+            cand, cand_sums = work.copy(), [list(s) for s in sums]
             rest, turns = code.peel(cand, order[k - start:] + order[:k - start],
-                                    _decode)
+                                    _decode, cand_sums)
             if start == 0:
                 first, left, rotations = cand, rest, turns
             changed = sum(v != w for r in order for v, w, lost
@@ -83,7 +86,7 @@ def decode_errors_erasures(code: EiiCode, grid: SymbolGrid,
                           if not lost)
             # the rows are outer row codewords (module docstring)
             if (rest or best and changed >= best[0]
-                    or not code.combinations_hold(cand.cells)):
+                    or not code.sums_hold(cand_sums)):
                 continue
             best = (changed, cand, start + turns)
             if changed == 0 or 2 * changed < spare:

@@ -35,7 +35,8 @@ powers step by a shift, reduced once the degree is reached.
 from __future__ import annotations
 
 import struct
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import xor
 
 from . import gf2poly as p2
 
@@ -233,10 +234,11 @@ class FieldContext:
         row is multiplied at once, as bytes through bytes.translate, and
         the products are added as little-endian ints by XOR.  Up to
         degree 8 a row is one byte string and a weight has one 256-byte
-        product table.  From degree 9 to 16 a row splits into its low and
-        high bytes and a weight has four tables (see _split_tables),
-        built on the weight's second sighting; the first time, and above
-        degree 16, the row is multiplied symbol by symbol.
+        product table, except 1, which adds the row as it is.  From
+        degree 9 to 16 a row splits into its low and high bytes and a
+        weight has four tables (see _split_tables), built on the weight's
+        second sighting; the first time, and above degree 16, the row is
+        multiplied symbol by symbol.
 
         A caller summing the same rows under several weight lists may
         pass packed, one slot per row, initially None: a row's bytes are
@@ -256,10 +258,12 @@ class FieldContext:
                         row = rows[j]
                         raw = packed[j] = bytes(row) if any(row) else b""
                     if raw:
-                        tab = tables.get(w)
-                        if tab is None:
-                            tab = tables[w] = self._product_table(w)
-                        acc ^= int.from_bytes(raw.translate(tab), "little")
+                        if w != 1:
+                            tab = tables.get(w)
+                            if tab is None:
+                                tab = tables[w] = self._product_table(w)
+                            raw = raw.translate(tab)
+                        acc ^= int.from_bytes(raw, "little")
             return list(acc.to_bytes(n, "little"))
         if self.degree <= 16:
             return self._split_row_sum(weights, rows, n, packed)
@@ -271,6 +275,28 @@ class FieldContext:
                     if v:
                         out[c] ^= mul(w, v)
         return out
+
+    def xor_rows(self, rows, packed: list) -> list[int]:
+        """sum_j rows[j]: row_sum with every weight 1, one XOR per row.
+
+        Up to degree 16 the rows are XORed packed, with packed, one slot
+        per row, filled as row_sum fills it, so that a later row_sum over
+        the same rows reuses their bytes.
+        """
+        n = len(rows[0])
+        if self.degree > 16:
+            return [reduce(xor, col) for col in zip(*rows)]
+        words = _packing(n)[0] if self.degree > 8 else None
+        acc = 0
+        for j, row in enumerate(rows):
+            raw = packed[j]
+            if raw is None:
+                raw = packed[j] = (b"" if not any(row) else bytes(row)
+                                   if words is None else words.pack(*row))
+            acc ^= int.from_bytes(raw, "little")
+        if words is None:
+            return list(acc.to_bytes(n, "little"))
+        return list(words.unpack(acc.to_bytes(2 * n, "little")))
 
     def _split_row_sum(self, weights, rows, n: int, packed: list) -> list[int]:
         """row_sum from degree 9 to 16.

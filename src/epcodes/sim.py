@@ -58,6 +58,10 @@ class DecoderModel:
     h_local: int | None = None
     d_global: int | None = None
 
+    def __post_init__(self):
+        if self.kind not in (ROWS_ONLY, COLS_ONLY, ITERATIVE, IDEAL_LRC):
+            raise ValueError("unknown model kind %r" % (self.kind,))
+
     @classmethod
     def rows_only(cls, code: EiiCode) -> "DecoderModel":
         return cls(ROWS_ONLY, code=code)
@@ -173,8 +177,6 @@ def _clears(model: DecoderModel, bits: int, m: int, n: int) -> bool:
         return not _step(model.code.profile, bits, rows)
     if model.kind == COLS_ONLY:
         return not _step(transpose_code(model.code).profile, bits, cols)
-    if model.kind != ITERATIVE:
-        raise ValueError("unknown model kind %r" % (model.kind,))
     # Alternate row and column steps until the grid empties or a full
     # cycle removes nothing.
     tprofile = transpose_code(model.code).profile
@@ -336,8 +338,6 @@ def _cutoff(model: DecoderModel, m: int, n: int):
     rows, cols = _line_ids(m, n)
     if model.kind == IDEAL_LRC:
         return partial(_lrc_cutoff, model, m, rows)
-    if model.kind not in (ROWS_ONLY, COLS_ONLY, ITERATIVE):
-        raise ValueError("unknown model kind %r" % (model.kind,))
     by_rows = (rows, m, _caps(model.code.profile))
     by_cols = (cols, n, _caps(transpose_code(model.code).profile))
     if model.kind == ROWS_ONLY:

@@ -111,6 +111,47 @@ def test_balanced_encode_and_iterative_decode(tmp_path, capsys):
     assert json.loads(report_file.read_text())["status"] == "FullyCorrected"
 
 
+@pytest.mark.parametrize("errors,erasures,fallback", [
+    # row 0 overloads its budget-1 row code and is isolated
+    (((0, 1, 3), (0, 5, 6)), ((4, 2),), False),
+    # row 0's erasure takes its whole budget, so the row stage fills it
+    # around the error; that grid fails the guard, and the transposed
+    # code corrects it
+    (((0, 0, 1),), ((0, 5),), True),
+])
+def test_errors_mode_round_trip_inside_the_radius(tmp_path, capsys, errors,
+                                                  erasures, fallback):
+    # C(7,[1,1,3,4,7,7]) over GF(8) has d = 10; both patterns have
+    # 2t + e < d
+    spec = "C(7,[1,1,3,4,7,7])"
+    grid_file = tmp_path / "grid.json"
+    data_file = tmp_path / "data.json"
+    data_file.write_text(json.dumps([(5 * i + 1) % 8 for i in range(19)]))
+    code, _, _ = run(capsys, "encode", "--code", spec,
+                     "--data", str(data_file), "--out", str(grid_file))
+    assert code == 0
+    sent = json.loads(grid_file.read_text())
+    doc = json.loads(grid_file.read_text())
+    for r, c, v in errors:
+        doc["cells"][r][c] = format(int(doc["cells"][r][c], 16) ^ v, "x")
+    for r, c in erasures:
+        doc["cells"][r][c] = None
+    assert 2 * len(errors) + len(erasures) < 10
+    grid_file.write_text(json.dumps(doc))
+    fixed_file = tmp_path / "fixed.json"
+    report_file = tmp_path / "report.json"
+    code, _, _ = run(capsys, "decode", str(grid_file), "--code", spec,
+                     "--mode", "errors", "--out", str(fixed_file),
+                     "--report", str(report_file))
+    assert code == 0
+    report = json.loads(report_file.read_text())
+    assert report["status"] == "Corrected"
+    assert len(report["row_outcomes"]) == 6
+    assert isinstance(report["rotations"], int)
+    assert report["fallback_used"] is fallback
+    assert json.loads(fixed_file.read_text()) == sent
+
+
 def test_uncorrectable_grid_exits_one(tmp_path, capsys):
     grid_file = tmp_path / "grid.json"
     data_file = tmp_path / "data.json"

@@ -461,6 +461,119 @@ def test_isolated_combination_lands_in_its_nested_code(ctx, n, entries):
         assert code.isolated_combination(junk.cells, target, pending) == known
 
 
+SUM_FIELDS = {
+    "gf16": default_field(4),
+    "gf256": default_field(8),
+    "gf65536": default_field(16),
+    "aop11": build_aop_field(11),
+    "poly20": default_field(20),
+}
+
+
+def _random_code(ctx, rng, top=9):
+    m, n = rng.randint(2, top), rng.randint(1, top)
+    return build_eii(ctx, n, sorted(rng.randint(0, n) for _ in range(m)))
+
+
+def _sums_by_definition(code, cells, count):
+    """S_r = sum_j alpha**(r*j) * row_j, one multiply per symbol."""
+    ctx = code.ctx
+    sums = []
+    for r in range(count):
+        s = [0] * code.n
+        for j, row in enumerate(cells):
+            w = ctx.alpha_pow(r * j)
+            for c, v in enumerate(row):
+                s[c] ^= ctx.mul(w, v)
+        sums.append(s)
+    return sums
+
+
+@pytest.mark.parametrize("field", SUM_FIELDS)
+def test_isolation_from_the_sums_matches_isolated_combination(field):
+    # the peel isolates a row as sum_k c_k * S_k over sums that still
+    # hold the junk of the pending rows and of the row itself
+    ctx = SUM_FIELDS[field]
+    rng = random.Random("sums-" + field)
+    for _ in range(12):
+        code = _random_code(ctx, rng)
+        cells = [[rng.randrange(ctx.size) for _ in range(code.n)]
+                 for _ in range(code.m)]
+        rows = list(range(code.m))
+        rng.shuffle(rows)
+        target, pending = rows[0], rows[1:1 + rng.randrange(code.m)]
+        sums = code.combination_sums(cells, len(pending) + 1)
+        assert sums == _sums_by_definition(code, cells, len(pending) + 1)
+        known = code.isolated_combination(cells, target, pending)
+        want = [k ^ v for k, v in zip(known, cells[target])]
+        assert code._isolate(sums, target, pending) == want
+        for r in pending:
+            cells[r] = [rng.randrange(ctx.size) for _ in range(code.n)]
+        sums = code.combination_sums(cells, len(pending) + 1)
+        assert code._isolate(sums, target, pending) == want
+
+
+def _combinations_hold_by_level(code, cells):
+    """Every combination r < suffix_at(i) in the code of every level
+    i >= 1, summed afresh per level."""
+    prof = code.profile
+    for i in range(1, prof.t + 1):
+        for r in range(prof.suffix_at(i)):
+            s, = _sums_by_definition(code, cells, r + 1)[r:]
+            if not code.row_code(i).contains(s):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("field", SUM_FIELDS)
+def test_combinations_hold_matches_the_check_per_level(field):
+    # codewords, and codewords with one row moved by a word of one row
+    # code, which breaks the combinations of the deeper levels only
+    ctx = SUM_FIELDS[field]
+    rng = random.Random("hold-" + field)
+    verdicts = set()
+    for _ in range(12):
+        code = _random_code(ctx, rng)
+        prof = code.profile
+        grid = random_grid_codeword(code, rng)
+        assert code.combinations_hold(grid.cells)
+        assert _combinations_hold_by_level(code, grid.cells)
+        for level in range(prof.t + 1):
+            rc = code.row_code(level)
+            shift = [rng.randrange(ctx.size) for _ in range(code.n)]
+            if rc.u:
+                shift = rc.fill(shift, tuple(range(code.n - rc.u, code.n)))
+            cells = [list(row) for row in grid.cells]
+            j = rng.randrange(code.m)
+            cells[j] = [a ^ b for a, b in zip(cells[j], shift)]
+            got = code.combinations_hold(cells)
+            assert got == _combinations_hold_by_level(code, cells), (
+                prof, level, j)
+            verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("field", ["gf256", "gf65536", "poly20"])
+def test_peel_keeps_the_sums_it_is_given(field):
+    ctx = SUM_FIELDS[field]
+    rng = random.Random("peel-" + field)
+    for _ in range(8):
+        code = _random_code(ctx, rng)
+        sent = random_grid_codeword(code, rng)
+        grid = sent.copy()
+        order = rng.sample(range(code.m), rng.randint(1, code.m))
+        for r in order:
+            for c in rng.sample(range(code.n), rng.randint(0, code.n)):
+                grid.cells[r][c] = rng.randrange(ctx.size)
+                grid.erase(r, c)
+        sums = code.combination_sums(grid.cells, len(order))
+        left, _ = code.peel(grid, order, lambda rc, word, erased:
+                            rc.erasure_decode(word, erased), sums)
+        assert sums == code.combination_sums(grid.cells, len(order))
+        if not left:
+            assert grid == sent
+
+
 @pytest.mark.parametrize("ctx,n,entries", KERNEL_PROFILES)
 def test_full_corrections_match_matrix_ground_truth(ctx, n, entries):
     code = build_eii(ctx, n, entries)

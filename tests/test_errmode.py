@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epcodes.eii import SymbolGrid, build_eii
+from epcodes.eii import EiiCode, SymbolGrid, build_eii
 from epcodes.errmode import (
     COMBINED,
     CORRECTED,
@@ -208,12 +208,11 @@ def damaged(sent, erasures, errors):
     return grid
 
 
-def test_isolated_miscorrection_loses_to_a_nearer_candidate():
-    # the 16x32 GF(2^16) code of the codec benchmark (d = 15), with the
-    # pattern of its codec-errors op 75 at seed 304: row 2 holds 2 errors
-    # and 6 erasures, 10 in all against the level-1 budget of 8, and its
-    # isolated decode still returns a word.  That first candidate changes
-    # more known cells than the one with row 1 isolated first.
+def codec_op_75_at_seed_304():
+    """The 16x32 GF(2^16) code of the codec benchmark (d = 15), its
+    codeword and the damage of its codec-errors op 75 at seed 304: row 2
+    holds 2 errors and 6 erasures, 10 in all against the level-1 budget
+    of 8, and its isolated decode still returns a word."""
     code = build_eii(default_field(16), 32, (4,) * 14 + (8, 32))
     rng = random.Random("codec-errors:304:75")
     sent = encode_balanced(code, [rng.randrange(1 << 16)
@@ -224,11 +223,46 @@ def test_isolated_miscorrection_loses_to_a_nearer_candidate():
         (2, 6, 9967), (2, 31, 53243), (2, 17, 23588), (2, 9, 33189),
         (2, 21, 38880), (2, 5, 54855), (3, 6, 32178)],
         [(2, 10, 41707), (2, 11, 9291), (0, 9, 42569), (3, 25, 31054)])
+    return code, sent, grid
+
+
+def test_isolated_miscorrection_loses_to_a_nearer_candidate():
+    # the first candidate changes more known cells than the one with row
+    # 1 isolated first
+    code, sent, grid = codec_op_75_at_seed_304()
     report = decode_errors_erasures(code, grid)
     assert report.status == CORRECTED
     assert report.grid == sent
     assert report.rotations == 1
     assert not report.fallback_used
+
+
+def test_every_candidate_reads_one_set_of_combination_sums(monkeypatch):
+    # the row stage's output is summed once, into S_0 .. S_{s-1}; each
+    # start's peel and guard work on a copy, so trying more starts sums
+    # no grid again
+    code, sent, grid = codec_op_75_at_seed_304()
+    grid_sums, starts = [], []
+
+    def counted(name):
+        real = getattr(FieldContext, name)
+
+        def call(self, *args, **kwargs):
+            rows = args[0] if name == "xor_rows" else args[1]
+            if len(rows) == code.m:
+                grid_sums.append(name)
+            return real(self, *args, **kwargs)
+        monkeypatch.setattr(FieldContext, name, call)
+
+    counted("row_sum")
+    counted("xor_rows")
+    real_peel = EiiCode.peel
+    monkeypatch.setattr(EiiCode, "peel", lambda self, *args:
+                        starts.append(args) or real_peel(self, *args))
+    report = decode_errors_erasures(code, grid)
+    assert report.grid == sent and not report.fallback_used
+    assert len(starts) >= 2
+    assert len(grid_sums) <= code.profile.suffix_at(1)
 
 
 def test_fallback_keeps_the_nearest_column_candidate():

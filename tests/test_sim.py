@@ -58,6 +58,11 @@ def test_grid_shape_resolution():
         DecoderModel.ideal_lrc(4, 4, 1)
 
 
+def test_an_unknown_model_kind_is_refused_when_built():
+    with pytest.raises(ValueError, match="unknown model kind"):
+        DecoderModel("Diagonal", code=CODE)
+
+
 def test_rows_only_model_tracks_sorted_budget_domination():
     model = DecoderModel.rows_only(CODE)
     # counts sorted ascending must sit under (1, 1, 2, 5) positionally
