@@ -25,11 +25,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress, repeat
+from functools import cached_property, reduce
+from itertools import compress
+from operator import itemgetter
 
 from .gf import FieldContext
 from .linalg import ParityMatrix
-from .rs import RsCode, LengthExceedsOrder, build_rs, difference_weights
+from .rs import (RsCode, LengthExceedsOrder, build_rs, difference_weights,
+                 root_product)
 
 FULLY_CORRECTED = "FullyCorrected"
 PARTIALLY_CORRECTED = "PartiallyCorrected"
@@ -37,6 +40,9 @@ FAILED = "Failed"
 
 # isolation coefficient lists one code keeps; cleared when full
 _ISOLATION_CACHE_CAP = 256
+
+# the symbol types _fill_around accepts without a per-symbol check
+_INTS = frozenset((int, bool))
 
 
 class ProfileError(ValueError):
@@ -179,8 +185,8 @@ class SymbolGrid:
         return grid
 
     def copy(self) -> "SymbolGrid":
-        return SymbolGrid._of([list(row) for row in self.cells],
-                              [list(row) for row in self.mask])
+        return SymbolGrid._of(list(map(list, self.cells)),
+                              list(map(list, self.mask)))
 
     def erase(self, row: int, col: int) -> None:
         self.mask[row][col] = True
@@ -197,7 +203,16 @@ class SymbolGrid:
                 for c in compress(cols, row)]
 
     def is_clean(self) -> bool:
-        return not any(map(any, self.mask))
+        # a row equal to the all-False one is passed over at C speed,
+        # element by element on identity; any other mask goes to any()
+        return (self.mask.count([False] * self.n) == self.m
+                or not any(map(any, self.mask)))
+
+    def _dirty_rows(self) -> list[int]:
+        """The rows holding an erasure, in order, passing over the clean
+        ones as is_clean does."""
+        clean = [False] * self.n
+        return [r for r, row in enumerate(self.mask) if row != clean and any(row)]
 
     def transpose(self) -> "SymbolGrid":
         return SymbolGrid._of(list(map(list, zip(*self.cells))),
@@ -214,20 +229,28 @@ class SymbolGrid:
 
 @dataclass(frozen=True)
 class DecodeReport:
+    """A decode's grid, verdict, corrected rows and pass count.
+
+    residual, the cells left erased in row-major order, is read off the
+    grid when first asked for, since the status needs only whether the
+    mask is clean."""
+
     grid: SymbolGrid
     status: str
     corrected_rows: frozenset
-    residual: tuple
     passes: int
+
+    @cached_property
+    def residual(self) -> tuple:
+        return tuple(self.grid.erasure_coords())
 
     @classmethod
     def of(cls, grid: SymbolGrid, corrected, passes: int) -> "DecodeReport":
         """FullyCorrected when nothing is left erased, else
         PartiallyCorrected when some pass made progress, else Failed."""
-        residual = tuple(grid.erasure_coords())
-        status = (FULLY_CORRECTED if not residual
+        status = (FULLY_CORRECTED if grid.is_clean()
                   else PARTIALLY_CORRECTED if passes else FAILED)
-        return cls(grid, status, frozenset(corrected), residual, passes)
+        return cls(grid, status, frozenset(corrected), passes)
 
 
 def row_correctable(profile: Profile, counts) -> tuple[bool, set]:
@@ -265,11 +288,13 @@ class EiiCode:
         self._tail_mask = tuple((False,) * (profile.n - e) + (True,) * e
                                 for e in profile.entries)
         self._transposed: EiiCode | None = None  # see layout.transpose_code
-        self._powers: dict[int, list[int]] = {}
+        self._powers: list[list[int]] = []  # see _combination_weights
         # per (target, pending), its isolation coefficients
         self._isolation: dict[tuple, list[int]] = {}
-        # per parity mask, its compiled fill (see _schedule)
+        # per parity mask, its compiled fill (see _schedule), and the
+        # last mask asked for with its fill, found without hashing it
         self._schedules: dict[tuple, tuple] = {}
+        self._last_schedule: tuple = (None, None)
 
     @property
     def m(self) -> int:
@@ -286,11 +311,20 @@ class EiiCode:
         return self._row_codes[level]
 
     def _combination_weights(self, r: int) -> list[int]:
-        """alpha**(r*j) for the rows j: the weights of combination r."""
-        if r not in self._powers:
-            self._powers[r] = [self.ctx.alpha_pow(r * j)
-                               for j in range(self.m)]
-        return self._powers[r]
+        """alpha**(r*j) for the rows j: the weights of combination r,
+        built from those of r - 1 by one multiply per row."""
+        powers = self._powers
+        if r >= len(powers):
+            mul = self.ctx.mul
+            if not powers:
+                # r = 1, the row locators, by one multiply walk
+                loc = [1]
+                for _ in range(self.m - 1):
+                    loc.append(mul(loc[-1], self.ctx.alpha))
+                powers += [[1] * self.m, loc]
+            while len(powers) <= r:
+                powers.append([mul(a, x) for a, x in zip(powers[-1], powers[1])])
+        return powers[r]
 
     def dimension(self) -> int:
         return self.profile.dimension()
@@ -367,7 +401,7 @@ class EiiCode:
         for j, x in enumerate(self._combination_weights(1)):
             v = 0
             if j != target and j not in pending:
-                v = top  # by Horner's rule, as _horner
+                v = top  # by Horner's rule
                 for c in rest:
                     v = mul(v, x) ^ c
             weights.append(v)
@@ -384,16 +418,11 @@ class EiiCode:
         key = (target, tuple(pending))
         coefs = self._isolation.get(key)
         if coefs is None:
-            mul = self.ctx.mul
-            locs = self._combination_weights(1)
-            q = [1]
-            for i in pending:
-                # times (z + alpha**i): shift up, then add alpha**i * Q
-                a, q = locs[i], [0] + q
-                for k in range(len(q) - 1):
-                    q[k] ^= mul(a, q[k + 1])
-            scale = self.ctx.inv(_horner(mul, q, locs[target]))
-            coefs = [mul(scale, a) for a in q]
+            ctx, locs = self.ctx, self._combination_weights(1)
+            pend = [locs[i] for i in pending]
+            # Q(alpha**target) is the product of its factors there
+            scale = ctx.inv(reduce(ctx.mul, [locs[target] ^ x for x in pend], 1))
+            coefs = [ctx.mul(scale, a) for a in root_product(ctx, pend)]
             if len(self._isolation) >= _ISOLATION_CACHE_CAP:
                 self._isolation.clear()
             self._isolation[key] = coefs
@@ -436,11 +465,13 @@ class EiiCode:
         its first isolation.
         """
         order, rotations, own = list(order), 0, sums is None
+        # a pending row's mask holds until the row is resolved
+        erasures = {r: grid.erased_in_row(r) for r in order}
         while order:
             code = self.row_code(self.profile.combo_level(len(order) - 1))
             for attempt in range(len(order)):
                 row = order[-1]
-                erased = grid.erased_in_row(row)
+                erased = erasures[row]
                 # both decoders refuse more erasures than the code's budget
                 if len(erased) <= code.u:
                     if sums is None:
@@ -520,7 +551,7 @@ class EiiCode:
         """
         self.check_shape(grid)
         g = grid.copy()
-        dirty = [r for r in range(self.m) if any(g.mask[r])]
+        dirty = g._dirty_rows()
         left, _ = self.peel(g, self.decode_outer_rows(g, dirty,
                                                       RsCode.erasure_decode),
                             RsCode.erasure_decode)
@@ -558,23 +589,19 @@ class EiiCode:
         cells = self._fill_around(data, parity)
         return SymbolGrid._of(cells, [[False] * self.n for _ in range(self.m)])
 
-    def _fill_around(self, data, parity, places=None) -> list[list[int]]:
-        """The cells of encode_around.  With places, data[places[r][c]]
-        goes to cell (r, c) in place of the row-major order; a parity
-        cell's place is one past the data."""
+    def _fill_around(self, data, parity, gather=None) -> list[list[int]]:
+        """The cells of encode_around.  gather, from _gather, places the
+        data in place of the row-major order."""
         want, row_major, steps = self._schedule(parity)
-        data = list(data)
-        if len(data) != want:
+        data = [*data, 0]  # a parity cell's place is one past the data
+        if len(data) != want + 1:
             raise WrongDataLength("want %d data symbols, got %d"
-                                  % (want, len(data)))
-        size = self.ctx.size
-        if not (all(map(isinstance, data, repeat(int)))
-                and min(data, default=0) >= 0 and max(data, default=0) < size):
+                                  % (want, len(data) - 1))
+        if not _plain_symbols(data, self.ctx.size):
             for v in data:
                 self.ctx.check(v)  # raises on the first bad symbol
-        data.append(0)
-        cells = [list(map(data.__getitem__, row))
-                 for row in (row_major if places is None else places)]
+        flat, n = (gather or row_major)(data), self.n
+        cells = [list(flat[i:i + n]) for i in range(0, self.m * n, n)]
         packed = [None] * self.m  # a row's bytes for row_sum, once final
         for r, weights, code, erased in steps:
             if weights is None:
@@ -588,7 +615,10 @@ class EiiCode:
         return cells
 
     def _schedule(self, parity) -> tuple:
-        """(data count, row-major places, steps) for a parity mask.
+        """(data count, row-major gather, steps) for a parity mask.
+
+        The gather (_gather) picks each cell's datum from the data with
+        one zero appended, the place of every parity cell.
 
         The steps are those decode_rows takes on a grid erased on the
         mask, found from the rows' erasure counts alone: decode_outer_rows
@@ -601,10 +631,19 @@ class EiiCode:
         Peel's rotations cannot help: its order is sorted most erased
         first, so only rows with as many erasures could rotate in.
         Nothing is built for a fill until it meets a nonzero word.
+        Compiled once per mask; the last mask is found again by identity,
+        without hashing its m x n cells.
         """
-        got = self._schedules.get(parity)
-        if got is not None:
-            return got
+        last, got = self._last_schedule
+        if last is not parity:
+            got = self._schedules.get(parity)
+            if got is None:
+                got = self._schedules[parity] = self._compile(parity)
+            self._last_schedule = (parity, got)
+        return got
+
+    def _compile(self, parity) -> tuple:
+        """_schedule's result for a mask it has not met."""
         prof = self.profile
         erased = [tuple(compress(range(self.n), row)) for row in parity]
         plan, left = [], []
@@ -620,11 +659,10 @@ class EiiCode:
         if any(len(erased[r]) != prof.levels[i] for r, _, i in plan):
             raise AssertionError("parity cells failed to decode")
         weights = self._isolation_weights
-        got = self._schedules[parity] = (
-            sum(row.count(False) for row in parity), _places(parity),
-            [(r, None if pending is None else weights(r, pending),
-              self.row_code(i), erased[r]) for r, pending, i in plan])
-        return got
+        return (sum(row.count(False) for row in parity),
+                _gather(_places(parity)),
+                [(r, None if pending is None else weights(r, pending),
+                  self.row_code(i), erased[r]) for r, pending, i in plan])
 
     # -- smallest-support codewords -------------------------------------
 
@@ -687,20 +725,35 @@ class EiiCode:
         return ParityMatrix(ctx, rows)
 
 
-def _horner(mul, coefs, x: int) -> int:
-    """The polynomial with coefficients coefs, lowest first, at x."""
-    v = coefs[-1]
-    for c in coefs[-2::-1]:
-        v = mul(v, x) ^ c
-    return v
-
-
 def _places(parity) -> list[list[int]]:
     """Per cell of a parity mask, its index in data placed row-major in
     the cells off the mask; a parity cell's is one past the data."""
     want = sum(row.count(False) for row in parity)
     index = iter(range(want))
     return [[want if p else next(index) for p in row] for row in parity]
+
+
+def _plain_symbols(data, size: int) -> bool:
+    """Whether data holds only exact ints and bools in range(size), in
+    two reads when a symbol fills a byte and three otherwise.  The rest
+    is for ctx.check, which also takes other int subclasses."""
+    if not set(map(type, data)) <= _INTS:
+        return False
+    if size != 256:
+        return min(data) >= 0 and max(data) < size
+    try:
+        bytes(data)  # raises outside range(256)
+    except ValueError:
+        return False
+    return True
+
+
+def _gather(places):
+    """One itemgetter that picks, row after row, the data index of every
+    cell in places, then the first once more, so that even one cell
+    comes back in a tuple; the extra pick is never read."""
+    flat = [p for row in places for p in row]
+    return itemgetter(*flat, flat[0])
 
 
 def build_eii(context: FieldContext, n: int, entries) -> EiiCode:

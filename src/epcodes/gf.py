@@ -136,11 +136,13 @@ class FieldContext:
         self._seen: set[int] = set()
         # per (n, u), the syndrome tables, and per (n, u) for the tail or
         # (n, erased positions) otherwise, the fill matrices' rows and
-        # tables that RS codes over this context share (see
-        # rs.RsCode.parity_check and rs.RsCode._encoder); plain ints only,
+        # tables and the per-position fill tables made of them that RS
+        # codes over this context share (see rs.RsCode.parity_check,
+        # rs.RsCode._encoder and rs.RsCode._fill_tables); plain ints only,
         # so nothing cached here refers back to the context
         self.syndrome_tables: dict[tuple[int, int], list] = {}
         self.encoder_tables: dict[tuple, tuple] = {}
+        self.fill_tables: dict[tuple, list] = {}
 
         if representation == "table":
             self._build_tables()

@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 
-from .eii import DecodeReport, EiiCode, Profile, SymbolGrid, _places
+from .eii import DecodeReport, EiiCode, Profile, SymbolGrid, _gather, _places
 
 TAIL = "tail"
 BALANCED = "balanced"
@@ -47,36 +47,34 @@ def transpose_code(code: EiiCode) -> EiiCode:
     return code._transposed
 
 
-def _decode_cols(code: EiiCode, grid: SymbolGrid) -> DecodeReport:
-    """One column pass: decode_rows of the column code, reported in the
-    grid's own orientation, so corrected_rows names columns."""
-    rep = transpose_code(code).decode_rows(grid.transpose())
-    return DecodeReport.of(rep.grid.transpose(), rep.corrected_rows,
-                           rep.passes)
-
-
 def iterative_decode(code: EiiCode, grid: SymbolGrid, max_passes: int = 0) -> DecodeReport:
     """Alternate row and column erasure decoding until nothing moves.
 
-    A pass is one directional decode: rows under the code itself, or
-    columns under the transposed code.  Rows always go first.  The loop
-    stops when the grid is clean, when a full row-plus-column cycle
-    removes no erasure, or when max_passes directional attempts have
-    been spent (0 means no cap).  The report counts only the passes
-    that removed at least one erasure.
+    A pass is one directional decode: EiiCode.decode_rows of the code
+    itself, or of the transposed code on the transposed grid, whose
+    result is transposed back.  Rows always go first.  The loop stops
+    when the grid is clean, when a full row-plus-column cycle removes
+    no erasure, or when max_passes directional attempts have been spent
+    (0 means no cap).  Only the final report reaches the caller, and it
+    counts only the passes that removed at least one erasure.
     """
     code.check_shape(grid)
-    work = grid.copy()
-    dirty = [r for r, row in enumerate(work.mask) if any(row)]
-    directions = (code.decode_rows, functools.partial(_decode_cols, code))
+    work = grid
+    dirty = grid._dirty_rows()
     passes = attempts = stalled = 0
     while (not work.is_clean() and stalled < 2
            and not (max_passes and attempts >= max_passes)):
-        rep = directions[attempts % 2](work)
-        work = rep.grid
+        if attempts % 2:
+            rep = transpose_code(code).decode_rows(work.transpose())
+            work = rep.grid.transpose()
+        else:
+            rep = code.decode_rows(work)
+            work = rep.grid
         attempts += 1
         passes += rep.passes
         stalled = 0 if rep.passes else stalled + 1
+    if work is grid:
+        work = grid.copy()  # no pass ran; the report owns its grid
     return DecodeReport.of(work, [r for r in dirty if not any(work.mask[r])],
                            passes)
 
@@ -141,13 +139,13 @@ def balanced_layout(profile: Profile) -> ParityLayout:
 
 @functools.lru_cache(maxsize=16)
 def _balanced_fill(profile: Profile) -> tuple:
-    """The column code's parity mask for balanced_layout, n x m, and per
-    column the places of its cells in the data, which runs row-major
-    over the grid (see eii._places)."""
+    """The column code's parity mask for balanced_layout, n x m, and the
+    gather that puts the data, which runs row-major over the grid, in
+    the column code's cells (see eii._places and eii._gather)."""
     parity = balanced_layout(profile).positions
     mask = [[(r, c) in parity for c in range(profile.n)]
             for r in range(profile.m)]
-    return tuple(zip(*mask)), list(zip(*_places(mask)))
+    return tuple(zip(*mask)), _gather(zip(*_places(mask)))
 
 
 def encode_balanced(code: EiiCode, data) -> SymbolGrid:
@@ -159,7 +157,7 @@ def encode_balanced(code: EiiCode, data) -> SymbolGrid:
     steps of one column pass, which the construction guarantees clears
     them, so the result is a codeword.
     """
-    mask, places = _balanced_fill(code.profile)
-    cols = transpose_code(code)._fill_around(data, mask, places)
+    mask, gather = _balanced_fill(code.profile)
+    cols = transpose_code(code)._fill_around(data, mask, gather)
     return SymbolGrid._of(list(map(list, zip(*cols))),
                           [[False] * code.n for _ in range(code.m)])

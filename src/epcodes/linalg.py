@@ -10,9 +10,11 @@ elimination, which is what the minimum-distance search runs on.
 Syndromes run on the same packed columns.  A syndrome is linear over
 GF(2) in the bits of the word, so per column and per 8-bit chunk of a
 symbol a table holds the packed contribution to all checks, and a
-syndrome costs one lookup and XOR per column and chunk.  Symbols of 9
-to 16 bits are split into their two bytes by one struct pack of the
-whole word.
+syndrome costs one lookup and XOR per column and chunk (table_sum).
+Symbols of 9 to 16 bits are split into their two bytes by one struct
+pack of the whole word.  The same pass applies any other matrix, such
+as an RS code's fill map, whose tables rs.RsCode.fill lays out per
+position of the whole word.
 """
 
 from __future__ import annotations
@@ -52,21 +54,7 @@ class ParityMatrix:
         if not any(word):
             return [0] * self.num_rows
         b = self.ctx.degree
-        tables = self._syndrome_tables()
-        if b <= 8:
-            acc = reduce(xor, map(getitem, tables[0], word))
-        elif b <= 16:
-            # one pack; the low bytes sit at even offsets, the high at odd
-            raw = _packing(len(word))[0].pack(*word)
-            acc = (reduce(xor, map(getitem, tables[0], raw[0::2]))
-                   ^ reduce(xor, map(getitem, tables[1], raw[1::2])))
-        else:
-            acc = 0
-            for k, chunk_tables in enumerate(tables):
-                chunk = [w >> (8 * k) & 255 for w in word]
-                acc ^= reduce(xor, map(getitem, chunk_tables, chunk))
-        lane = (1 << b) - 1
-        return [acc >> (r * b) & lane for r in range(self.num_rows)]
+        return lanes(table_sum(b, self._syndrome_tables(), word), self.num_rows, b)
 
     def rank(self) -> int:
         return rank(self.ctx, self.rows)
@@ -100,6 +88,37 @@ class ParityMatrix:
             self._tables.extend([subset_xors(slots[lo:lo + 8]) for slots in cols]
                                 for lo in range(0, self.ctx.degree, 8))
         return self._tables
+
+
+def table_sum(degree: int, tables, word) -> int:
+    """XOR over the columns j of tables[k][j][chunk k of word[j]], the
+    chunks being a symbol's 8-bit pieces, low first: with the tables of
+    _syndrome_tables, the packed product of the matrix and the word.
+
+    Up to 8 bits a symbol is its one chunk.  From 9 to 16 bits one
+    struct pack of the word puts the low chunks at even offsets and the
+    high at odd ones.
+    """
+    if degree <= 8:
+        return reduce(xor, map(getitem, tables[0], word))
+    if degree <= 16:
+        raw = _packing(len(word))[0].pack(*word)
+        return (reduce(xor, map(getitem, tables[0], raw[0::2]))
+                ^ reduce(xor, map(getitem, tables[1], raw[1::2])))
+    acc = 0
+    for k, chunk_tables in enumerate(tables):
+        chunk = [w >> (8 * k) & 255 for w in word]
+        acc ^= reduce(xor, map(getitem, chunk_tables, chunk))
+    return acc
+
+
+def lanes(acc: int, count: int, b: int) -> list[int]:
+    """The first count b-bit lanes of acc, lowest first: its bytes when
+    b = 8."""
+    if b == 8:
+        return list(acc.to_bytes(count, "little"))
+    lane = (1 << b) - 1
+    return [acc >> (r * b) & lane for r in range(count)]
 
 
 def rref(ctx: FieldContext, rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:

@@ -6,27 +6,35 @@ A code of length n with u parities is the set of words c satisfying
 
 which is MDS with minimum distance u+1 whenever alpha has order >= n.
 Codes over the same context nest by construction: more parities means a
-subcode.  Erasures are filled in closed form.  Exactly u erasures at
-positions fixed in advance, as an encode has, are a fixed linear map of
-the rest (fill), applied by one table-driven matrix product; with errors
-as well, Berlekamp-Massey seeded with the erasures locates the errata, a
-Chien search over the error locator alone finds the errors, and the same
-fill supplies the values.  With one parity the syndrome is the plain sum
-of the word, and a lone erasure is the sum of the rest.  With u = n the
-code is {0}, decided without any check matrix.  Decoding failures are
-returned as None, never raised.
+subcode.  Exactly u erasures at positions fixed in advance, as an encode
+has, are a fixed linear map of the rest (fill): one lookup pass over the
+whole word, through that map's syndrome table at each kept position and
+a shared zero table at each erased one, with the tables built once per
+(n, positions) and shared on the field context.  Other erasures are
+solved from one syndrome pass: on a table field by the dual Vandermonde
+recurrences on logs, with the spare checks read from the same
+syndromes.  With errors as well, Berlekamp-Massey seeded with the
+erasures locates the errata, a Chien search over the error locator
+alone finds the errors, and the erasure decoder supplies the values.
+With one parity the syndrome is the plain sum of the word, and a lone
+erasure is the sum of the rest.  With u = n the code is {0}, decided
+without any check matrix.  Decoding failures are returned as None,
+never raised.
 """
 
 from __future__ import annotations
 
 from functools import reduce
-from itertools import repeat
 from operator import xor
 
 from .gf import FieldContext
-from .linalg import ParityMatrix
+from .linalg import ParityMatrix, lanes, table_sum
 # not called here; bench/tracing.py wraps rs.solve_unique at this site
 from .linalg import solve_unique  # noqa: F401
+
+
+# the fill table of an erased position: every chunk value adds nothing
+_ZEROS = (0,) * 256
 
 
 class LengthExceedsOrder(ValueError):
@@ -49,12 +57,15 @@ class RsCode:
         self.u = u
         self._h: ParityMatrix | None = None
         self._tail = tuple(range(n - u, n))
-        # per erased position tuple, the other positions and F once built
-        # (see fill); _f is the tail's F
+        # per erased position tuple, its fill tables once built (see fill)
         self._fills: dict[tuple, list] = {}
-        self._f: ParityMatrix | None = None
-        # position locators alpha**j, reused by every decode
-        self._loc = [ctx.alpha_pow(j) for j in range(n)]
+        # position locators alpha**j by one multiply walk, reused by every
+        # decode, and on table fields their logs
+        loc = [1]
+        for _ in range(n - 1):
+            loc.append(ctx.mul(loc[-1], ctx.alpha))
+        self._loc = loc
+        self._logs = None if ctx._log is None else [ctx._log[x] for x in loc]
 
     @property
     def dimension(self) -> int:
@@ -67,13 +78,22 @@ class RsCode:
     def parity_check(self) -> ParityMatrix:
         if self._h is None:
             ctx = self.ctx
-            rows = [[ctx.alpha_pow(r * j) for j in range(self.n)]
-                    for r in range(self.u)]
+            # row r is alpha**(r*j): row r - 1 times the locators
+            rows, row = [], [1] * self.n
+            for _ in range(self.u):
+                rows.append(row)
+                row = [ctx.mul(a, x) for a, x in zip(row, self._loc)]
             # every code of this (n, u) over ctx has these rows, so they
             # share one set of syndrome tables, kept on ctx as plain ints
             tables = ctx.syndrome_tables.setdefault((self.n, self.u), [])
             self._h = ParityMatrix(ctx, rows, tables)
         return self._h
+
+    def _key(self, erased: tuple) -> tuple:
+        """Where the context keeps the tables of a fill: per (n, u) for
+        the tail and per (n, erased) otherwise, so that a code built per
+        call reuses them."""
+        return (self.n, self.u) if erased == self._tail else (self.n, erased)
 
     def _encoder(self, erased: tuple) -> ParityMatrix:
         """F, u x (n - u), with y[erased] = F * y[rest] for every codeword
@@ -86,7 +106,7 @@ class RsCode:
         their locators, scaled to 1 at that position.  Needs 0 < u < n.
         """
         ctx = self.ctx
-        key = (self.n, self.u) if erased == self._tail else (self.n, erased)
+        key = self._key(erased)
         if key not in ctx.encoder_tables:
             locs = [self._loc[j] for j in erased]
             cols = []
@@ -95,44 +115,56 @@ class RsCode:
                     w = difference_weights(ctx, [x] + locs)
                     scale = ctx.inv(w[0])
                     cols.append([ctx.mul(scale, v) for v in w[1:]])
-            # rows and tables, shared per (n, u) for the tail and per
-            # (n, erased) otherwise, so a code built per call reuses both
             ctx.encoder_tables[key] = (list(zip(*cols)), [])
         return ParityMatrix(ctx, *ctx.encoder_tables[key])
 
+    def _fill_tables(self, erased: tuple) -> list:
+        """Per 8-bit chunk of a symbol, per position, a lookup table: F's
+        syndrome table (linalg.table_sum) at a kept position and the
+        shared zero table at an erased one, so that one pass over the
+        whole word gives F * rest with the erased cells unread."""
+        ctx = self.ctx
+        key = self._key(erased)
+        tables = ctx.fill_tables.get(key)
+        if tables is None:
+            tables = ctx.fill_tables[key] = []
+            for chunk in self._encoder(erased)._syndrome_tables():
+                cols = iter(chunk)
+                tables.append([_ZEROS if j in erased else next(cols)
+                               for j in range(self.n)])
+        return tables
+
     def fill(self, word: list[int], erased: tuple) -> list[int]:
         """The codeword equal to word off erased, a tuple of exactly u
-        positions in increasing order.
+        positions in increasing order, as a new list.
 
         The erased values are a fixed linear map of the rest: 0 in the
-        zero code (u = n), the sum of the rest with one check, and
-        otherwise F * rest with F = _encoder(erased), built on the first
-        nonzero rest and kept per position tuple.
+        zero code (u = n), the sum of the rest with one check, the word
+        itself with none, and otherwise F * rest with F = _encoder(erased).
+        That product is one lookup pass over the whole word through
+        _fill_tables, built on the first word nonzero off erased and
+        kept per position tuple; what the erased cells hold is never
+        read.
         """
         n, u = self.n, self.u
         if u == n:
             return [0] * n
         y = list(word)
-        if u == 1:
-            j, = erased
-            y[j] = 0
-            y[j] = reduce(xor, y)
+        if u <= 1:
+            if u:
+                j, = erased
+                y[j] = 0
+                y[j] = reduce(xor, y)
             return y
-        entry = self._fills.get(erased)
-        if entry is None:
-            entry = self._fills[erased] = [
-                [j for j in range(n) if j not in erased], None]
-        kept, f = entry
-        rest = [y[j] for j in kept]
-        if any(rest):
-            if f is None:
-                f = entry[1] = self._encoder(erased)
-                if erased == self._tail:
-                    self._f = f
-            vals = f.syndrome(rest)
-        else:
-            vals = repeat(0)
-        for j, v in zip(erased, vals):
+        tables = self._fills.get(erased)
+        if tables is None:
+            for j in erased:
+                y[j] = 0
+            if not any(y):
+                return y
+            tables = self._fills[erased] = self._fill_tables(erased)
+        b = self.ctx.degree
+        for j, v in zip(erased, lanes(table_sum(b, tables, word), u, b)):
             y[j] = v
         return y
 
@@ -152,51 +184,99 @@ class RsCode:
 
     def _locator(self, positions: list[int]) -> list[int]:
         """prod_j (1 + X_j z) over the positions' locators, lowest power first."""
-        mul = self.ctx.mul
-        poly = [1]
-        for j in positions:
-            x = self._loc[j]
-            poly = [a ^ mul(x, b) for a, b in zip(poly + [0], [0] + poly)]
-        return poly
+        return root_product(self.ctx, [self._loc[j] for j in positions])[::-1]
 
     # -- erasure-only decoding ------------------------------------------
 
     def erasure_decode(self, word: list[int], erasures: list[int]) -> list[int] | None:
         """Fill the erased positions, or None.
 
-        Closed-form Vandermonde solve (Forney's erasure values).  With
-        locators X_i = alpha**j_i of the e erased positions and syndromes
-        S_r of the word with those cells zeroed, the first e checks give
+        With locators X_i = alpha**j_i of the e erased positions and
+        syndromes S_r of the word with those cells zeroed, the erased
+        values x_i solve the Vandermonde system
+
+            sum_i x_i X_i**r = S_r,   r < e,
+
+        and the remaining u - e checks, the same sums for e <= r < u,
+        must then hold as well; they are read from the same syndromes.
+        None when e > u or when the non-erased part is inconsistent with
+        every codeword.
+
+        On a table field the system is solved on logs by the dual
+        Vandermonde recurrences of Bjorck and Pereyra: e(e-1)/2
+        multiply-adds, then as many divisions by locator differences and
+        additions; one erasure is x = S_0.  A polynomial field multiplies
+        through Forney's closed form (_solve).  In the zero code (u = n)
+        the result is 0 exactly when every known symbol is.  One erasure
+        under one check, or exactly the last u positions, is filled by
+        fill, with no solve.
+        """
+        e = tuple(sorted(set(erasures)))
+        n, u = self.n, self.u
+        if len(word) != n:
+            raise ValueError("word length %d != n=%d" % (len(word), n))
+        if len(e) > u:
+            return None
+        if e and u < n and (u == 1 or e == self._tail):
+            return self.fill(word, e)
+        y = list(word)
+        for j in e:
+            y[j] = 0
+        if u == n:
+            return None if any(y) else y
+        syn = self.syndromes(y)
+        if not any(syn):
+            return y
+        if not e:
+            return None
+        if self._logs is None:
+            return self._solve(y, e, syn)
+        exp, log = self.ctx._exp, self.ctx._log
+        q = self.ctx.size - 1
+        k = len(e)
+        lx = [self._logs[j] for j in e]
+        vals = syn[:k]
+        if k > 1:
+            # the dual Vandermonde recurrences of Bjorck and Pereyra
+            # (Golub and Van Loan, Matrix Computations, 4.6.2), on logs
+            xs = [self._loc[j] for j in e]
+            for i in range(k - 1):
+                a = lx[i]
+                for r in range(k - 1, i, -1):
+                    if vals[r - 1]:
+                        vals[r] ^= exp[a + log[vals[r - 1]]]
+            for i in range(k - 2, -1, -1):
+                for r in range(i + 1, k):
+                    if vals[r]:
+                        vals[r] = exp[log[vals[r]] + q - log[xs[r] ^ xs[r - i - 1]]]
+                for r in range(i, k - 1):
+                    vals[r] ^= vals[r + 1]
+        if k < u:
+            # the spare checks: S_r less sum_i x_i X_i**r must vanish
+            rest = syn[k:]
+            for v, a in zip(vals, lx):
+                if v:
+                    t = log[v] + k * a
+                    for r in range(u - k):
+                        rest[r] ^= exp[t % q]
+                        t += a
+            if any(rest):
+                return None
+        for j, v in zip(e, vals):
+            y[j] = v
+        return y
+
+    def _solve(self, y: list[int], e: tuple, syn: list[int]) -> list[int] | None:
+        """erasure_decode's solve by field multiplications, on y with the
+        erasures zeroed and its syndromes syn, not all zero: Forney's
 
             x_i = sum_{r<e} q_{i,r} S_r / prod_{l != i} (X_i + X_l),
 
         where q_i(z) = P(z) / (z + X_i) and P(z) = prod_l (z + X_l), the
-        erasure locator with its coefficients reversed.  The remaining
-        u - e checks must then hold as well.  None when e > u or when the
-        non-erased part is inconsistent with every codeword.
-
-        In the zero code (u = n) the result is 0 exactly when every known
-        symbol is.  One erasure under one check, or exactly the last u
-        positions, is filled by fill, with no solve.
-        """
-        e = tuple(sorted(set(erasures)))
-        if len(word) != self.n:
-            raise ValueError("word length %d != n=%d" % (len(word), self.n))
-        if len(e) > self.u:
-            return None
-        y = list(word)
-        for j in e:
-            y[j] = 0
-        if self.u == self.n:
-            return None if any(y) else y
-        if e and (self.u == 1 or e == self._tail):
-            return self.fill(y, e)
-        syn = self.syndromes(y)
-        if not any(syn):
-            return y
+        erasure locator with its coefficients reversed."""
         mul = self.ctx.mul
         locs = [self._loc[j] for j in e]
-        poly = self._locator(e)[::-1]
+        poly = root_product(self.ctx, locs)
         vals = []
         for x, w in zip(locs, difference_weights(self.ctx, locs)):
             # synthetic division of P by (z + x), highest coefficient first
@@ -314,6 +394,24 @@ def difference_weights(ctx: FieldContext, locs: list[int]) -> list[int]:
                 prod = ctx.mul(prod, xs ^ xl)
         out.append(ctx.inv(prod))
     return out
+
+
+def root_product(ctx: FieldContext, xs) -> list[int]:
+    """prod (z + x) over xs, lowest power first, so its last coefficient
+    is 1: each factor shifts the product up and adds x times it, on logs
+    in a table field."""
+    poly = [1]
+    if ctx._log is None:
+        mul = ctx.mul
+        for x in xs:
+            poly = [c ^ mul(x, d) for c, d in zip([0] + poly, poly + [0])]
+        return poly
+    exp, log = ctx._exp, ctx._log
+    for x in xs:
+        a = log[x]
+        poly = [c ^ exp[a + log[d]] if d else c
+                for c, d in zip([0] + poly, poly + [0])]
+    return poly
 
 
 def _quotient(ctx: FieldContext, p: list[int], d: list[int]) -> list[int]:

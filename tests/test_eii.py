@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import enum
 import functools
 import gc
 import itertools
@@ -12,6 +13,7 @@ import weakref
 import pytest
 
 from epcodes.eii import (
+    DecodeReport,
     EiiCode,
     EntryExceedsN,
     HasErasures,
@@ -178,6 +180,20 @@ def test_encoder_contract(encoder):
         with pytest.raises(ContextMismatch):
             encoder(code, data[:-1] + [bad])
     assert encoder(code, iter(data)) == encoder(code, data)
+
+
+@pytest.mark.parametrize("encoder", ENCODERS.values(), ids=ENCODERS.keys())
+def test_encoder_contract_on_a_byte_field(encoder):
+    # a byte field checks the range of its symbols in one pass of its
+    # own; it must accept and refuse exactly what the others do
+    code = build_eii(default_field(8), 7, (1, 2, 7))
+    data = [v * 37 % 256 for v in range(code.dimension() - 1)] + [1]
+    for bad in (256, -1, 1.0, "1", None):
+        with pytest.raises(ContextMismatch):
+            encoder(code, data[:-1] + [bad])
+    grid = encoder(code, data)
+    assert encoder(code, data[:-1] + [True]) == grid
+    assert encoder(code, data[:-1] + [enum.IntEnum("One", "ONE").ONE]) == grid
 
 
 DECODERS = {
@@ -640,13 +656,20 @@ def test_representations_of_one_field_share_no_tables():
     for key, (rows, tables) in table.encoder_tables.items():
         assert rows == poly.encoder_tables[key][0]
         assert tables and tables is not poly.encoder_tables[key][1]
+    assert table.fill_tables.keys() == poly.fill_tables.keys()
     for code, ctx in zip(codes, (table, poly)):
         for level in code._row_codes.values():
             assert level.ctx is ctx
             key = (level.n, level.u)
             assert level.parity_check()._tables is ctx.syndrome_tables[key]
-            if level._f is not None:
-                assert level._f._tables is ctx.encoder_tables[key][1]
+        for key, chunks in ctx.fill_tables.items():
+            assert chunks is not (poly if ctx is table else table).fill_tables[key]
+            # a kept position reads the encoder's own table, and F has
+            # no zero entry, so the all-zero tables are the erased ones
+            for fill, shared in zip(chunks, ctx.encoder_tables[key][1]):
+                kept = [t for t in fill if any(t)]
+                assert len(kept) == len(shared)
+                assert all(a is b for a, b in zip(kept, shared))
 
 
 def test_zero_encode_builds_no_tail_tables():
@@ -656,10 +679,10 @@ def test_zero_encode_builds_no_tail_tables():
     code = build_eii(ctx, 32, (4,) * 14 + (8, 32))
     assert code.encode([0] * code.dimension()) == SymbolGrid.zeros(16, 32)
     assert not ctx.encoder_tables and not ctx.syndrome_tables
-    assert all(level._f is None for level in code._row_codes.values())
+    assert not ctx.fill_tables
     data = [1] + [0] * (code.dimension() - 1)
     assert code.is_codeword(code.encode(data))
-    assert set(ctx.encoder_tables) == {(32, 4), (32, 8)}
+    assert set(ctx.encoder_tables) == set(ctx.fill_tables) == {(32, 4), (32, 8)}
 
 
 @pytest.mark.parametrize("degree", [8, 16])
@@ -672,6 +695,7 @@ def test_zero_encodes_of_both_layouts_build_no_tables(degree):
     assert code.encode(zeros) == SymbolGrid.zeros(16, 32)
     assert encode_balanced(code, zeros) == SymbolGrid.zeros(16, 32)
     assert not ctx.encoder_tables and not ctx.syndrome_tables
+    assert not ctx.fill_tables
     assert not ctx._byte_tables and not ctx._seen
 
 
@@ -696,6 +720,12 @@ def _decoded_around(code, data, parity, decode):
     return report.grid
 
 
+def _column_pass(code, grid):
+    """decode_rows of the column code, in the grid's own orientation."""
+    rep = layout.transpose_code(code).decode_rows(grid.transpose())
+    return DecodeReport.of(rep.grid.transpose(), rep.corrected_rows, rep.passes)
+
+
 @pytest.mark.parametrize("field", SCHEDULE_FIELDS)
 def test_compiled_encodes_match_one_decode_pass(field):
     # each layout's schedule against the route it replaces: the tail
@@ -708,7 +738,7 @@ def test_compiled_encodes_match_one_decode_pass(field):
         code = build_eii(ctx, n, sorted(rng.randint(0, n) for _ in range(m)))
         routes = [(EiiCode.encode, tail_layout, code.decode_rows),
                   (encode_balanced, balanced_layout,
-                   functools.partial(layout._decode_cols, code))]
+                   functools.partial(_column_pass, code))]
         for encoder, place, decode in routes:
             data = [rng.randrange(ctx.size) for _ in range(code.dimension())]
             grid = encoder(code, data)

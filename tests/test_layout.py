@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from epcodes.eii import EiiCode, Profile, SymbolGrid, build_eii
+from epcodes.eii import DecodeReport, EiiCode, Profile, SymbolGrid, build_eii
 from epcodes.gf import default_field
 from epcodes.layout import (
     ParityLayout,
@@ -117,6 +117,61 @@ def test_pass_cap_limits_work():
     assert full.status == "FullyCorrected"
     assert capped.status == "PartiallyCorrected"
     assert capped.grid.erasure_count() > 0
+
+
+def _iterative_by_passes(code, grid, max_passes=0):
+    """iterative_decode as a report per pass: copy the grid, then
+    alternate decode_rows of the code and of the column code on the
+    transpose, each column pass reported in the grid's orientation."""
+    work = grid.copy()
+    dirty = [r for r in range(code.m) if any(work.mask[r])]
+    passes = attempts = stalled = 0
+    while (not work.is_clean() and stalled < 2
+           and not (max_passes and attempts >= max_passes)):
+        if attempts % 2:
+            rep = transpose_code(code).decode_rows(work.transpose())
+            rep = DecodeReport.of(rep.grid.transpose(), rep.corrected_rows,
+                                  rep.passes)
+        else:
+            rep = code.decode_rows(work)
+        work = rep.grid
+        attempts += 1
+        passes += rep.passes
+        stalled = 0 if rep.passes else stalled + 1
+    return DecodeReport.of(work, [r for r in dirty if not any(work.mask[r])],
+                           passes)
+
+
+@pytest.mark.parametrize("max_passes", [0, 1, 2, 3])
+def test_iterative_report_matches_a_report_per_pass(max_passes):
+    # grid, status, corrected rows, residual and pass count, on patterns
+    # that clear, stall part way and fail outright; every other code has
+    # rows of budget 1 and so often needs several passes
+    rng = random.Random(31 + max_passes)
+    statuses, passes = set(), set()
+    for trial in range(60):
+        n = rng.randint(3, 9)
+        entries = ((1, 1, 1, 1, 2, 8) if trial % 2 else
+                   sorted(rng.randint(0, min(4, n)) for _ in range(rng.randint(2, 8))))
+        code = build_eii(GF16, 8 if trial % 2 else n, entries)
+        grid = code.encode([rng.randrange(16) for _ in range(code.dimension())])
+        cells = [(r, c) for r in range(code.m) for c in range(code.n)]
+        for r, c in rng.sample(cells, rng.randint(0, len(cells) * 2 // 3)):
+            grid.cells[r][c] = rng.randrange(16)
+            grid.erase(r, c)
+        before = grid.copy()
+        got = iterative_decode(code, grid, max_passes)
+        want = _iterative_by_passes(code, grid, max_passes)
+        assert grid == before  # the input is left alone
+        assert got.grid is not grid
+        assert (got.grid, got.status, got.corrected_rows, got.residual,
+                got.passes) == (want.grid, want.status, want.corrected_rows,
+                                want.residual, want.passes)
+        statuses.add(got.status)
+        passes.add(got.passes)
+    assert statuses == {"FullyCorrected", "PartiallyCorrected", "Failed"}
+    # some decode uses two passes or more, where the cap allows it
+    assert max(passes) >= (1 if max_passes == 1 else 2)
 
 
 def test_hopeless_pattern_reports_failed():

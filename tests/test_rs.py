@@ -7,7 +7,7 @@ from itertools import combinations, product
 
 import pytest
 
-from epcodes.gf import build_aop_field, build_field, default_field
+from epcodes.gf import FieldContext, build_aop_field, build_field, default_field
 from epcodes.linalg import solve_unique
 from epcodes.rs import LengthExceedsOrder, RsCode, build_rs
 
@@ -437,3 +437,97 @@ def _check_sum(code: RsCode, word, r: int) -> int:
     for j, v in enumerate(word):
         acc ^= code.ctx.mul(code.ctx.alpha_pow(r * j), v)
     return acc
+
+
+# -- table-driven fill and log-domain erasure solve -------------------------
+
+def _twin(ctx):
+    """The same field and alpha in the polynomial representation, whose
+    erasure solve multiplies instead of reading logs."""
+    twin = FieldContext(ctx.degree, ctx.modulus, "polynomial", ctx.alpha,
+                        ctx.alpha_order)
+    assert twin.representation == "polynomial" and twin.alpha == ctx.alpha
+    return twin
+
+
+DIFF_FIELDS = {
+    "gf16": (lambda: default_field(4), 15, (1, 2, 3, 5, 15)),
+    "gf256": (lambda: default_field(8), 32, (1, 2, 4, 8, 12)),
+    "gf65536": (lambda: default_field(16), 24, (1, 2, 4, 7)),
+    "aop11": (lambda: build_aop_field(11), 11, (1, 2, 3, 5, 11)),
+    "poly2^20": (lambda: default_field(20), 12, (1, 2, 4)),
+}
+
+
+@pytest.mark.parametrize("field", DIFF_FIELDS)
+def test_erasure_decode_matches_elimination_and_the_multiplying_solve(field):
+    # every e = 0..u at random positions, on a codeword (must come back)
+    # and on the codeword with one known symbol changed (must give None
+    # below u erasures, and the elimination's fill at u)
+    make, n, parities = DIFF_FIELDS[field]
+    ctx = make()
+    twin = None if ctx.representation == "polynomial" else _twin(ctx)
+    rng = random.Random("erasure-diff-" + field)
+    for u in parities:
+        code = build_rs(ctx, n, u)
+        other = None if twin is None else build_rs(twin, n, u)
+        for e in range(u + 1):
+            for _ in range(4):
+                sent = _eliminated_fill(
+                    code, [rng.randrange(ctx.size) for _ in range(n)],
+                    list(range(n - u, n)))
+                spots = rng.sample(range(n), e)
+                word = list(sent)
+                for j in spots:
+                    word[j] = rng.randrange(ctx.size)  # junk
+                assert code.erasure_decode(word, spots) == sent, (u, spots)
+                if e < n:
+                    j = rng.choice([j for j in range(n) if j not in spots])
+                    word[j] ^= rng.randrange(1, ctx.size)
+                got = code.erasure_decode(word, spots)
+                want = _eliminated_fill(code, word, spots)
+                assert got == want, (u, spots)
+                assert (got is None) == (e < u), (u, spots)
+                if other is not None:
+                    assert other.erasure_decode(word, spots) == got
+
+
+FILL_FIELDS = {
+    "gf256": (lambda: default_field(8), 32),
+    "gf65536": (lambda: default_field(16), 20),
+    "aop11": (lambda: build_aop_field(11), 11),
+    "poly2^20": (lambda: default_field(20), 9),
+}
+
+
+@pytest.mark.parametrize("field", FILL_FIELDS)
+def test_fill_is_the_encoder_on_the_kept_symbols(field):
+    # the one lookup pass over the whole word must equal F * rest, for
+    # the tail and for other position tuples, whatever the erased cells
+    # hold
+    make, n = FILL_FIELDS[field]
+    ctx = make()
+    rng = random.Random("fill-" + field)
+    for u in (2, 3, n // 2, n - 1):
+        code = build_rs(ctx, n, u)
+        tuples = [tuple(range(n - u, n)), tuple(range(u)),
+                  tuple(sorted(rng.sample(range(n), u)))]
+        for erased in tuples:
+            f = code._encoder(erased)
+            for _ in range(3):
+                word = [rng.randrange(ctx.size) for _ in range(n)]
+                rest = [v for j, v in enumerate(word) if j not in erased]
+                got = code.fill(word, erased)
+                assert [got[j] for j in erased] == f.syndrome(rest)
+                assert [v for j, v in enumerate(got) if j not in erased] == rest
+                assert code.contains(got)
+
+
+def test_codes_without_parity_fill_and_decode_a_clean_word():
+    # u = 0: every word is a codeword, with nothing to fill
+    for ctx in (default_field(4), default_field(20)):
+        code = build_rs(ctx, 7, 0)
+        word = [3, 0, 1, 5, 7, 2, 6]
+        assert code.fill(word, ()) == word
+        assert code.erasure_decode(word, []) == word
+        assert code.erasure_decode(word, [2]) is None
