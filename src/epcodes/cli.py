@@ -121,11 +121,19 @@ def auto_field(profile: Profile) -> FieldContext:
     raise CliError("no default field up to degree 16 covers order %d" % need)
 
 
+@functools.lru_cache(maxsize=8)
+def _code(profile: Profile, ctx: FieldContext) -> EiiCode:
+    """The code of profile over ctx, kept so that the commands of one
+    process reuse its tables and schedules.  Every context here comes
+    from gf.build_field, so equal keys name one context object."""
+    return EiiCode(profile, ctx)
+
+
 def resolve_code(args) -> EiiCode:
     profile = parse_code_spec(args.code)
     ctx = parse_field(args.field) if getattr(args, 'field', None) \
         else auto_field(profile)
-    return EiiCode(profile, ctx)
+    return _code(profile, ctx)
 
 
 def grid_to_json(grid: SymbolGrid, ctx: FieldContext) -> dict:
@@ -242,7 +250,7 @@ def cmd_decode(args) -> int:
     if (grid.m, grid.n) != (profile.m, profile.n):
         raise CliError("grid is %dx%d but the code wants %dx%d"
                        % (grid.m, grid.n, profile.m, profile.n))
-    code = EiiCode(profile, ctx)
+    code = _code(profile, ctx)
     if args.mode == "errors":
         rep = decode_errors_erasures(code, grid)
         report = {"status": rep.status,
@@ -359,7 +367,7 @@ def _sim_model(args) -> tuple[DecoderModel, tuple | None, str | None]:
     if not args.code:
         raise CliError("simulate needs --code or --lrc")
     profile = parse_code_spec(args.code)
-    code = EiiCode(profile, auto_field(profile))
+    code = _code(profile, auto_field(profile))
     maker = {"rows": DecoderModel.rows_only,
              "cols": DecoderModel.cols_only,
              "iterative": DecoderModel.iterative}[args.mode or "iterative"]

@@ -134,15 +134,6 @@ class FieldContext:
         # together once SPLIT_CACHE_CAP weights hold them
         self._byte_tables: dict[int, bytes | tuple[bytes, ...]] = {}
         self._seen: set[int] = set()
-        # per (n, u), the syndrome tables, and per (n, u) for the tail or
-        # (n, erased positions) otherwise, the fill matrices' rows and
-        # tables and the per-position fill tables made of them that RS
-        # codes over this context share (see rs.RsCode.parity_check,
-        # rs.RsCode._encoder and rs.RsCode._fill_tables); plain ints only,
-        # so nothing cached here refers back to the context
-        self.syndrome_tables: dict[tuple[int, int], list] = {}
-        self.encoder_tables: dict[tuple, tuple] = {}
-        self.fill_tables: dict[tuple, list] = {}
 
         if representation == "table":
             self._build_tables()

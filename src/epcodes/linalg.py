@@ -13,8 +13,7 @@ symbol a table holds the packed contribution to all checks, and a
 syndrome costs one lookup and XOR per column and chunk (table_sum).
 Symbols of 9 to 16 bits are split into their two bytes by one struct
 pack of the whole word.  The same pass applies any other matrix, such
-as an RS code's fill map, whose tables rs.RsCode.fill lays out per
-position of the whole word.
+as an RS code's fill map (rs.RsCode.fill).
 """
 
 from __future__ import annotations
@@ -30,11 +29,11 @@ class ParityMatrix:
     """A parity-check matrix bound to a field context.
 
     syndrome(word) is the matrix times the word, so the same kernel also
-    applies any other matrix, such as an RS code's systematic encoder.
+    applies any other matrix, such as an RS code's fill map.  The packed
+    columns and the syndrome tables are built on first use and kept.
     """
 
-    def __init__(self, ctx: FieldContext, rows: list[list[int]],
-                 tables: list | None = None):
+    def __init__(self, ctx: FieldContext, rows: list[list[int]]):
         self.ctx = ctx
         self.rows = [list(r) for r in rows]
         self.num_rows = len(self.rows)
@@ -43,9 +42,7 @@ class ParityMatrix:
             if len(r) != self.num_cols:
                 raise ValueError("ragged parity matrix")
         self._packed: list[list[int]] | None = None
-        # filled in place once built, so a caller may hand in a list that
-        # other matrices with the same rows share
-        self._tables: list[list[list[int]]] = [] if tables is None else tables
+        self._tables: list[list[list[int]]] | None = None
 
     def syndrome(self, word: list[int]) -> list[int]:
         if len(word) != self.num_cols:
@@ -54,7 +51,7 @@ class ParityMatrix:
         if not any(word):
             return [0] * self.num_rows
         b = self.ctx.degree
-        return lanes(table_sum(b, self._syndrome_tables(), word), self.num_rows, b)
+        return lanes(table_sum(b, self._chunk_tables(), word), self.num_rows, b)
 
     def rank(self) -> int:
         return rank(self.ctx, self.rows)
@@ -75,7 +72,7 @@ class ParityMatrix:
             self._packed = [walk(pack(col), ones) for col in zip(*self.rows)]
         return self._packed
 
-    def _syndrome_tables(self) -> list[list[list[int]]]:
+    def _chunk_tables(self) -> list[list[list[int]]]:
         """Per 8-bit chunk k of a symbol, per column, a lookup table.
 
         Entry x of table [k][j] is the packed syndrome, laid out as in
@@ -83,17 +80,17 @@ class ParityMatrix:
         zeros elsewhere; by linearity it is the XOR of slots 8k + i of
         column j over the set bits i of x.
         """
-        if not self._tables:
+        if self._tables is None:
             cols = self.packed_columns()
-            self._tables.extend([subset_xors(slots[lo:lo + 8]) for slots in cols]
-                                for lo in range(0, self.ctx.degree, 8))
+            self._tables = [[subset_xors(slots[lo:lo + 8]) for slots in cols]
+                            for lo in range(0, self.ctx.degree, 8)]
         return self._tables
 
 
 def table_sum(degree: int, tables, word) -> int:
     """XOR over the columns j of tables[k][j][chunk k of word[j]], the
     chunks being a symbol's 8-bit pieces, low first: with the tables of
-    _syndrome_tables, the packed product of the matrix and the word.
+    _chunk_tables, the packed product of the matrix and the word.
 
     Up to 8 bits a symbol is its one chunk.  From 9 to 16 bits one
     struct pack of the word puts the low chunks at even offsets and the

@@ -7,15 +7,15 @@ A code of length n with u parities is the set of words c satisfying
 which is MDS with minimum distance u+1 whenever alpha has order >= n.
 Codes over the same context nest by construction: more parities means a
 subcode.  Exactly u erasures at positions fixed in advance, as an encode
-has, are a fixed linear map of the rest (fill): one lookup pass over the
-whole word, through that map's syndrome table at each kept position and
-a shared zero table at each erased one, with the tables built once per
-(n, positions) and shared on the field context.  Other erasures are
-solved from one syndrome pass: on a table field by the dual Vandermonde
-recurrences on logs, with the spare checks read from the same
-syndromes.  With errors as well, Berlekamp-Massey seeded with the
-erasures locates the errata, a Chien search over the error locator
-alone finds the errors, and the erasure decoder supplies the values.
+has, are a fixed linear map of the word (fill): one lookup pass over the
+whole word through that map's syndrome tables, whose columns at the
+erased positions are zero, built once per position tuple and kept on
+the code.  Other erasures are solved from one syndrome pass: on a table
+field by the dual Vandermonde recurrences on logs, with the spare
+checks read from the same syndromes.  With errors as well,
+Berlekamp-Massey seeded with the erasures locates the errata, a Chien
+search over the error locator alone finds the errors, and the erasure
+decoder supplies the values.
 With one parity the syndrome is the plain sum of the word, and a lone
 erasure is the sum of the rest.  With u = n the code is {0}, decided
 without any check matrix.  Decoding failures are returned as None,
@@ -31,10 +31,6 @@ from .gf import FieldContext
 from .linalg import ParityMatrix, lanes, table_sum
 # not called here; bench/tracing.py wraps rs.solve_unique at this site
 from .linalg import solve_unique  # noqa: F401
-
-
-# the fill table of an erased position: every chunk value adds nothing
-_ZEROS = (0,) * 256
 
 
 class LengthExceedsOrder(ValueError):
@@ -57,7 +53,7 @@ class RsCode:
         self.u = u
         self._h: ParityMatrix | None = None
         self._tail = tuple(range(n - u, n))
-        # per erased position tuple, its fill tables once built (see fill)
+        # per erased position tuple, its fill map's tables (see fill)
         self._fills: dict[tuple, list] = {}
         # position locators alpha**j by one multiply walk, reused by every
         # decode, and on table fields their logs
@@ -83,56 +79,30 @@ class RsCode:
             for _ in range(self.u):
                 rows.append(row)
                 row = [ctx.mul(a, x) for a, x in zip(row, self._loc)]
-            # every code of this (n, u) over ctx has these rows, so they
-            # share one set of syndrome tables, kept on ctx as plain ints
-            tables = ctx.syndrome_tables.setdefault((self.n, self.u), [])
-            self._h = ParityMatrix(ctx, rows, tables)
+            self._h = ParityMatrix(ctx, rows)
         return self._h
 
-    def _key(self, erased: tuple) -> tuple:
-        """Where the context keeps the tables of a fill: per (n, u) for
-        the tail and per (n, erased) otherwise, so that a code built per
-        call reuses them."""
-        return (self.n, self.u) if erased == self._tail else (self.n, erased)
-
     def _encoder(self, erased: tuple) -> ParityMatrix:
-        """F, u x (n - u), with y[erased] = F * y[rest] for every codeword
-        y, where erased lists u positions in increasing order and rest
-        the others.
+        """F, u x n, with y[erased] = F * y for every codeword y, where
+        erased lists u positions in increasing order; F's columns at
+        those positions are zero.
 
-        Column j is the erased part of the codeword that is 1 at the j-th
-        position of rest and 0 on the others there.  That codeword lives
-        on u + 1 positions, so its values are the difference weights of
-        their locators, scaled to 1 at that position.  Needs 0 < u < n.
+        Column j, off erased, is the erased part of the codeword that is
+        1 at j and 0 at every other position off erased.  That codeword
+        lives on u + 1 positions, so its values are the difference
+        weights of their locators, scaled to 1 at j.  Needs 0 < u < n.
         """
         ctx = self.ctx
-        key = self._key(erased)
-        if key not in ctx.encoder_tables:
-            locs = [self._loc[j] for j in erased]
-            cols = []
-            for j, x in enumerate(self._loc):
-                if j not in erased:
-                    w = difference_weights(ctx, [x] + locs)
-                    scale = ctx.inv(w[0])
-                    cols.append([ctx.mul(scale, v) for v in w[1:]])
-            ctx.encoder_tables[key] = (list(zip(*cols)), [])
-        return ParityMatrix(ctx, *ctx.encoder_tables[key])
-
-    def _fill_tables(self, erased: tuple) -> list:
-        """Per 8-bit chunk of a symbol, per position, a lookup table: F's
-        syndrome table (linalg.table_sum) at a kept position and the
-        shared zero table at an erased one, so that one pass over the
-        whole word gives F * rest with the erased cells unread."""
-        ctx = self.ctx
-        key = self._key(erased)
-        tables = ctx.fill_tables.get(key)
-        if tables is None:
-            tables = ctx.fill_tables[key] = []
-            for chunk in self._encoder(erased)._syndrome_tables():
-                cols = iter(chunk)
-                tables.append([_ZEROS if j in erased else next(cols)
-                               for j in range(self.n)])
-        return tables
+        locs = [self._loc[j] for j in erased]
+        cols = []
+        for j, x in enumerate(self._loc):
+            if j in erased:
+                cols.append([0] * self.u)
+            else:
+                w = difference_weights(ctx, [x] + locs)
+                scale = ctx.inv(w[0])
+                cols.append([ctx.mul(scale, v) for v in w[1:]])
+        return ParityMatrix(ctx, list(zip(*cols)))
 
     def fill(self, word: list[int], erased: tuple) -> list[int]:
         """The codeword equal to word off erased, a tuple of exactly u
@@ -140,11 +110,11 @@ class RsCode:
 
         The erased values are a fixed linear map of the rest: 0 in the
         zero code (u = n), the sum of the rest with one check, the word
-        itself with none, and otherwise F * rest with F = _encoder(erased).
-        That product is one lookup pass over the whole word through
-        _fill_tables, built on the first word nonzero off erased and
-        kept per position tuple; what the erased cells hold is never
-        read.
+        itself with none, and otherwise F * word with F = _encoder(erased).
+        That product is one lookup pass over the whole word through F's
+        syndrome tables (linalg.table_sum), built on the first word
+        nonzero off erased and kept per position tuple; F's zero columns
+        make what the erased cells hold add nothing.
         """
         n, u = self.n, self.u
         if u == n:
@@ -162,7 +132,8 @@ class RsCode:
                 y[j] = 0
             if not any(y):
                 return y
-            tables = self._fills[erased] = self._fill_tables(erased)
+            tables = self._encoder(erased)._chunk_tables()
+            self._fills[erased] = tables
         b = self.ctx.degree
         for j, v in zip(erased, lanes(table_sum(b, tables, word), u, b)):
             y[j] = v
@@ -304,14 +275,16 @@ class RsCode:
         times the error locator; the quotient is exact, and a Chien
         search finds its roots, which must be distinct and off the
         erasures.  With no error the search is skipped.  erasure_decode
-        fills the erasures and the roots; its checks beyond the filled
-        positions stand in for a final syndrome check.  The error
-        count is the number of known positions the fill changed.  The
-        result is the codeword within capability of the received word
-        when there is one, and None otherwise: beyond capability a
-        codeword is returned only if one happens to sit that close.  In
-        the zero code (u = n) the errors are the nonzero known symbols,
-        counted with no syndrome.
+        then fills the erasures and the roots, and cannot fail: the
+        locator, of length L, generates S_L..S_{u-1} from the earlier
+        syndromes, and with its L roots distinct and known the values
+        that solve the first L checks reproduce every later syndrome,
+        so the spare checks hold.  The error count is the number of
+        known positions the fill changed.  The result is the codeword
+        within capability of the received word when there is one, and
+        None otherwise: beyond capability a codeword is returned only
+        if one happens to sit that close.  In the zero code (u = n) the
+        errors are the nonzero known symbols, counted with no syndrome.
         """
         e = sorted(set(erasures))
         u = self.u
@@ -369,8 +342,6 @@ class RsCode:
                 return None
 
         out = self.erasure_decode(word, e + errs)
-        if out is None:
-            return None
         return out, sum(1 for j in errs if out[j] != word[j])
 
 

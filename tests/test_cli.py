@@ -12,7 +12,8 @@ import tempfile
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from epcodes.cli import CliError, auto_field, main
+from epcodes import cli
+from epcodes.cli import CliError, auto_field, main, parse_code_spec
 from epcodes.eii import Profile
 from epcodes.gf import default_field
 
@@ -89,6 +90,47 @@ def test_encode_decode_round_trip(tmp_path, capsys):
             for c, x in enumerate(row)
             if c < 5 - (1, 1, 2, 5)[r]]
     assert flat == payload
+
+
+def _cli_round_trip(tmp_path, capsys, spec, field, clear):
+    """encode with --field, erase three cells, decode; the bytes of the
+    grid, corrected grid and report files, with the code cache cleared
+    after the encode when clear is set."""
+    profile = parse_code_spec(spec)
+    data_file, grid_file, fixed_file, report_file = (
+        tmp_path / name for name in ("data", "grid", "fixed", "report"))
+    data_file.write_text(json.dumps([(7 * i + 3) % 16
+                                     for i in range(profile.dimension())]))
+    assert run(capsys, "encode", "--code", spec, "--field", field,
+               "--data", str(data_file), "--out", str(grid_file))[0] == 0
+    encoded = grid_file.read_bytes()
+    if clear:
+        cli._code.cache_clear()
+    doc = json.loads(encoded)
+    for r, c in [(0, 0), (0, 1), (7, 3)]:
+        doc["cells"][r][c] = None
+    grid_file.write_text(json.dumps(doc))
+    assert run(capsys, "decode", str(grid_file), "--code", spec,
+               "--out", str(fixed_file), "--report", str(report_file))[0] == 0
+    return encoded, fixed_file.read_bytes(), report_file.read_bytes()
+
+
+def test_one_process_keeps_its_codes(tmp_path, capsys):
+    # an encode and a decode of one spec and field build one code;
+    # another spec or field gets its own, and every file is the same as
+    # with the cache cleared between the calls
+    runs = [("C(8,[2,3,3,4,4,5,5,6])", "4"), ("C(8,[2,3,3,4,4,5,5,6])", "5"),
+            ("C(8,[1,2,3,4,4,5,5,6])", "4")]
+    cli._code.cache_clear()
+    kept = []
+    for built, (spec, field) in enumerate(runs, 1):
+        kept.append(_cli_round_trip(tmp_path, capsys, spec, field, False))
+        info = cli._code.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (built, built, built)
+    for (spec, field), files in zip(runs, kept):
+        cli._code.cache_clear()
+        assert _cli_round_trip(tmp_path, capsys, spec, field, True) == files
+    assert len(set(kept)) == len(runs)
 
 
 def test_balanced_encode_and_iterative_decode(tmp_path, capsys):

@@ -629,12 +629,22 @@ def _encode_and_decode(ctx):
     return code
 
 
+def _row_codes(code):
+    """The RS row codes that code and its column code have built."""
+    codes = list(code._row_codes.values())
+    if code._transposed is not None:
+        codes += code._transposed._row_codes.values()
+    return codes
+
+
 def test_cached_code_state_does_not_keep_its_context_alive():
-    # every table cached on the context is plain ints; a code kept there
-    # would close a cycle that only the collector could break
+    # the tables a code caches are plain ints on its row codes; one that
+    # referred back to the code would close a cycle only the collector
+    # could break
     ctx = FieldContext(16, DEFAULT_MODULI[16])
     code = _encode_and_decode(ctx)
-    assert ctx.syndrome_tables and ctx.encoder_tables
+    assert any(rs._fills for rs in _row_codes(code))
+    assert any(rs._h is not None for rs in _row_codes(code))
     ref = weakref.ref(ctx)
     gc.disable()
     try:
@@ -645,57 +655,60 @@ def test_cached_code_state_does_not_keep_its_context_alive():
 
 
 def test_representations_of_one_field_share_no_tables():
+    # the two contexts compare equal, yet each code builds its own
+    # tables, and both representations build the same ones
     table = FieldContext(8, DEFAULT_MODULI[8], "table")
     poly = FieldContext(8, DEFAULT_MODULI[8], "polynomial")
     assert table == poly
     codes = [_encode_and_decode(ctx) for ctx in (table, poly)]
-    assert table.syndrome_tables.keys() == poly.syndrome_tables.keys()
-    for key, tables in table.syndrome_tables.items():
-        assert tables is not poly.syndrome_tables[key]
-    assert table.encoder_tables.keys() == poly.encoder_tables.keys()
-    for key, (rows, tables) in table.encoder_tables.items():
-        assert rows == poly.encoder_tables[key][0]
-        assert tables and tables is not poly.encoder_tables[key][1]
-    assert table.fill_tables.keys() == poly.fill_tables.keys()
-    for code, ctx in zip(codes, (table, poly)):
-        for level in code._row_codes.values():
-            assert level.ctx is ctx
-            key = (level.n, level.u)
-            assert level.parity_check()._tables is ctx.syndrome_tables[key]
-        for key, chunks in ctx.fill_tables.items():
-            assert chunks is not (poly if ctx is table else table).fill_tables[key]
-            # a kept position reads the encoder's own table, and F has
-            # no zero entry, so the all-zero tables are the erased ones
-            for fill, shared in zip(chunks, ctx.encoder_tables[key][1]):
-                kept = [t for t in fill if any(t)]
-                assert len(kept) == len(shared)
-                assert all(a is b for a, b in zip(kept, shared))
+    pairs = list(zip(*map(_row_codes, codes)))
+    assert pairs and any(a._fills for a, _ in pairs)
+    for a, b in pairs:
+        assert (a.ctx, b.ctx) == (table, poly)
+        assert (a.n, a.u) == (b.n, b.u)
+        assert (a._h is None) == (b._h is None)
+        if a._h is not None:
+            assert a._h.rows == b._h.rows
+            assert a._h._chunk_tables() == b._h._chunk_tables()
+            assert a._h._tables is not b._h._tables
+        assert a._fills.keys() == b._fills.keys()
+        for erased, tables in a._fills.items():
+            assert tables == b._fills[erased]
+            assert tables is not b._fills[erased]
+            # F has no zero entry off its zero columns, so the all-zero
+            # tables are exactly the erased positions'
+            for chunk in tables:
+                assert tuple(j for j, t in enumerate(chunk)
+                             if not any(t)) == erased
 
 
 def test_zero_encode_builds_no_tail_tables():
     # a zero tail fill needs no encoder, so encoding zeros on a fresh
-    # context (as a benchmark set-up does) leaves nothing on it
+    # context (as a benchmark set-up does) builds no table on the code
     ctx = FieldContext(8, DEFAULT_MODULI[8])
     code = build_eii(ctx, 32, (4,) * 14 + (8, 32))
     assert code.encode([0] * code.dimension()) == SymbolGrid.zeros(16, 32)
-    assert not ctx.encoder_tables and not ctx.syndrome_tables
-    assert not ctx.fill_tables
+    assert all(not rs._fills and rs._h is None for rs in _row_codes(code))
     data = [1] + [0] * (code.dimension() - 1)
     assert code.is_codeword(code.encode(data))
-    assert set(ctx.encoder_tables) == set(ctx.fill_tables) == {(32, 4), (32, 8)}
+    fills = {(rs.n, rs.u): set(rs._fills) for rs in _row_codes(code)
+             if rs._fills}
+    assert fills == {(32, 4): {tuple(range(28, 32))},
+                     (32, 8): {tuple(range(24, 32))}}
 
 
 @pytest.mark.parametrize("degree", [8, 16])
 def test_zero_encodes_of_both_layouts_build_no_tables(degree):
     # a schedule compiles from the mask alone and a fill meets only zero
-    # words, so nothing lands in the context's caches
+    # words, so no row code of the code or of its column code builds a
+    # table, and nothing lands in the context's caches
     ctx = FieldContext(degree, DEFAULT_MODULI[degree])
     code = build_eii(ctx, 32, (4,) * 14 + (8, 32))
     zeros = [0] * code.dimension()
     assert code.encode(zeros) == SymbolGrid.zeros(16, 32)
     assert encode_balanced(code, zeros) == SymbolGrid.zeros(16, 32)
-    assert not ctx.encoder_tables and not ctx.syndrome_tables
-    assert not ctx.fill_tables
+    assert code._transposed is not None
+    assert all(not rs._fills and rs._h is None for rs in _row_codes(code))
     assert not ctx._byte_tables and not ctx._seen
 
 

@@ -416,4 +416,9 @@ def test_an_errors_panel_builds_no_check_tables_for_the_zero_code():
         report = decode_errors_erasures(code, damaged(sent, erasures, errors))
         outcomes.add((report.status, report.fallback_used))
     assert {(CORRECTED, False), (CORRECTED, True)} <= outcomes
-    assert ctx.syndrome_tables and all(n != u for n, u in ctx.syndrome_tables)
+    levels = list(code._row_codes.values())
+    levels += code._transposed._row_codes.values()
+    zero = [rs for rs in levels if rs.u == rs.n]
+    assert {(rs.n, rs.u) for rs in zero} == {(32, 32), (16, 16)}
+    assert all(rs._h is None and not rs._fills for rs in zero)
+    assert any(rs._h is not None for rs in levels)

@@ -163,6 +163,57 @@ def test_beyond_capability_is_none_or_some_codeword():
             assert code.contains(got[0])
 
 
+@pytest.mark.parametrize("field,n,parities", [
+    (default_field(3), 7, (1, 2, 4, 6)),
+    (default_field(4), 15, (2, 5, 8)),
+    (default_field(8), 32, (4, 9)),
+    (default_field(16), 20, (3, 6)),
+    (build_aop_field(11), 11, (2, 5)),
+    (default_field(20), 12, (2, 4)),
+])
+def test_error_erasure_fill_never_fails_after_the_chien_search(field, n, parities):
+    # once the Chien search finds the error locator's roots, distinct and
+    # off the erasures, the locator generates every syndrome, so the
+    # erasure fill that ends error_erasure_decode never returns None:
+    # errata inside and beyond capability, and words drawn at random
+    rng = random.Random("errata-%d-%d" % (field.degree, n))
+    for u in parities:
+        code = build_rs(field, n, u)
+        cases = []
+        for t in range(300):
+            word = random_codeword(code, rng)
+            e = rng.randrange(u + 1)
+            if t % 3 == 0:
+                i = rng.randrange((u - e) // 2 + 1)
+            else:
+                i = rng.randrange((u - e) // 2 + 1, n - e + 1)
+            spots = rng.sample(range(n), e + i)
+            for j in spots[e:]:
+                word[j] ^= rng.randrange(1, field.size)
+            inside = 2 * i + e <= u
+            if t % 10 == 0:
+                word, inside = [rng.randrange(field.size) for _ in range(n)], False
+            cases.append((word, spots[:e], inside))
+        fills = []
+        real = code.erasure_decode
+        code.erasure_decode = lambda w, e: fills.append(real(w, e)) or fills[-1]
+        beyond = 0
+        for word, erased, inside in cases:
+            before = len(fills)
+            got = code.error_erasure_decode(word, erased)
+            assert len(fills) <= before + 1
+            if inside:
+                assert got is not None
+            if got is not None:
+                dist = sum(1 for j in range(n)
+                           if j not in erased and got[0][j] != word[j])
+                assert dist == got[1] and 2 * dist + len(erased) <= u
+                assert real(got[0], []) == got[0]
+            beyond += len(fills) > before and not inside
+        assert None not in fills
+        assert beyond, u
+
+
 # -- closed-form erasure fill against elimination --------------------------
 
 def _eliminated_fill(code: RsCode, word: list[int], erasures) -> list[int] | None:
@@ -461,9 +512,10 @@ DIFF_FIELDS = {
 
 @pytest.mark.parametrize("field", DIFF_FIELDS)
 def test_erasure_decode_matches_elimination_and_the_multiplying_solve(field):
-    # every e = 0..u at random positions, on a codeword (must come back)
-    # and on the codeword with one known symbol changed (must give None
-    # below u erasures, and the elimination's fill at u)
+    # every e = 0..u at random positions, then the exact tail, which
+    # erasure_decode hands to fill as it does u = 1, on a codeword (must
+    # come back) and on the codeword with one known symbol changed (must
+    # give None below u erasures, and the elimination's fill at u)
     make, n, parities = DIFF_FIELDS[field]
     ctx = make()
     twin = None if ctx.representation == "polynomial" else _twin(ctx)
@@ -471,12 +523,13 @@ def test_erasure_decode_matches_elimination_and_the_multiplying_solve(field):
     for u in parities:
         code = build_rs(ctx, n, u)
         other = None if twin is None else build_rs(twin, n, u)
-        for e in range(u + 1):
+        tail = list(range(n - u, n))
+        for draw in list(range(u + 1)) + [tail]:
             for _ in range(4):
                 sent = _eliminated_fill(
-                    code, [rng.randrange(ctx.size) for _ in range(n)],
-                    list(range(n - u, n)))
-                spots = rng.sample(range(n), e)
+                    code, [rng.randrange(ctx.size) for _ in range(n)], tail)
+                spots = tail if draw is tail else rng.sample(range(n), draw)
+                e = len(spots)
                 word = list(sent)
                 for j in spots:
                     word[j] = rng.randrange(ctx.size)  # junk
@@ -502,9 +555,9 @@ FILL_FIELDS = {
 
 @pytest.mark.parametrize("field", FILL_FIELDS)
 def test_fill_is_the_encoder_on_the_kept_symbols(field):
-    # the one lookup pass over the whole word must equal F * rest, for
-    # the tail and for other position tuples, whatever the erased cells
-    # hold
+    # the one lookup pass over the whole word must equal F * word, for
+    # the tail and for other position tuples, with F's columns zero at
+    # the erased positions, so that whatever those cells hold is ignored
     make, n = FILL_FIELDS[field]
     ctx = make()
     rng = random.Random("fill-" + field)
@@ -514,11 +567,13 @@ def test_fill_is_the_encoder_on_the_kept_symbols(field):
                   tuple(sorted(rng.sample(range(n), u)))]
         for erased in tuples:
             f = code._encoder(erased)
+            assert (f.num_rows, f.num_cols) == (u, n)
+            assert not any(row[j] for row in f.rows for j in erased)
             for _ in range(3):
                 word = [rng.randrange(ctx.size) for _ in range(n)]
                 rest = [v for j, v in enumerate(word) if j not in erased]
                 got = code.fill(word, erased)
-                assert [got[j] for j in erased] == f.syndrome(rest)
+                assert [got[j] for j in erased] == f.syndrome(word)
                 assert [v for j, v in enumerate(got) if j not in erased] == rest
                 assert code.contains(got)
 
