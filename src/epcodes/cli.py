@@ -214,10 +214,6 @@ def cmd_props(args) -> int:
     code = resolve_code(args)
     prof = code.profile
     params = epc_params(prof)
-    try:
-        bound = str(distance_bound(params))
-    except EmptyRange:
-        bound = "undefined (empty split range)"
     print("profile %s" % format_profile(prof))
     print("field GF(2^%d) modulus %s" % (code.ctx.degree,
                                          hex(code.ctx.modulus)))
@@ -226,7 +222,7 @@ def cmd_props(args) -> int:
     print("transpose %s" % format_profile(transpose_profile(prof)))
     print("epc EP(%d,%d;%d,%d;%d)"
           % (params.m, params.v, params.n, params.h, params.g))
-    print("distance_bound %s" % bound)
+    print("distance_bound %d" % distance_bound(params))
     return 0
 
 

@@ -15,8 +15,8 @@ through the weight's 256-byte product table.  From degree 9 to 16 it
 splits each symbol into its two bytes and uses four tables per weight
 (the split-table method of Plank, Greenan and Miller, "Screaming Fast
 Galois Field Arithmetic Using Intel SIMD Instructions", FAST 2013).
-Those tables are cached for at most SPLIT_CACHE_CAP weights, each
-admitted on its second use.  Above degree 16 the sum runs symbol by
+Those tables are built on a weight's first use and cached for at most
+SPLIT_CACHE_CAP weights.  Above degree 16 the sum runs symbol by
 symbol.  Every multiplication table, the parity matrices' packed
 columns included, is built from the walk w * x**i of _x_multiples, by
 shift and reduce modulo the field's own modulus, with no multiply call.
@@ -130,10 +130,8 @@ class FieldContext:
         self._log: list[int] | None = None
         # per weight, its product table for row_sum (degree <= 8) or its
         # four split tables (degree 9 to 16, see _split_tables); the wide
-        # tables are admitted on a weight's second sighting and dropped
-        # together once SPLIT_CACHE_CAP weights hold them
+        # tables are dropped together once SPLIT_CACHE_CAP weights hold them
         self._byte_tables: dict[int, bytes | tuple[bytes, ...]] = {}
-        self._seen: set[int] = set()
 
         if representation == "table":
             self._build_tables()
@@ -229,9 +227,8 @@ class FieldContext:
         degree 8 a row is one byte string and a weight has one 256-byte
         product table, except 1, which adds the row as it is.  From
         degree 9 to 16 a row splits into its low and high bytes and a
-        weight has four tables (see _split_tables), built on the weight's
-        second sighting; the first time, and above degree 16, the row is
-        multiplied symbol by symbol.
+        weight has four tables (see _split_tables), built on its first
+        use.  Above degree 16 the row is multiplied symbol by symbol.
 
         A caller summing the same rows under several weight lists may
         pass packed, one slot per row, initially None: a row's bytes are
@@ -302,11 +299,10 @@ class FieldContext:
         mask per quarter keeps the meant bytes and a shift moves each
         product byte to its symbol's low or high byte.
         """
-        tables, seen, mul = self._byte_tables, self._seen, self.mul
+        tables = self._byte_tables
         words, even = _packing(n)
         pack = words.pack
         acc = 0
-        out = None
         for j, w in enumerate(weights):
             if not w:
                 continue
@@ -318,17 +314,6 @@ class FieldContext:
                 continue
             tab = tables.get(w)
             if tab is None:
-                if w not in seen:
-                    # a first sighting: one-off weights never pay for tables
-                    if len(seen) >= SPLIT_CACHE_CAP:
-                        seen.clear()
-                    seen.add(w)
-                    if out is None:
-                        out = [0] * n
-                    for c, v in enumerate(rows[j]):
-                        if v:
-                            out[c] ^= mul(w, v)
-                    continue
                 if len(tables) >= SPLIT_CACHE_CAP:
                     tables.clear()
                 tab = tables[w] = self._split_tables(w)
@@ -340,10 +325,7 @@ class FieldContext:
         odd = even << 8
         acc = ((acc & even) ^ (acc >> (bits + 8) & even)
                ^ (acc >> (2 * bits - 8) & odd) ^ (acc >> (3 * bits) & odd))
-        sums = list(words.unpack(acc.to_bytes(2 * n, "little")))
-        if out is not None:
-            sums = [a ^ b for a, b in zip(sums, out)]
-        return sums
+        return list(words.unpack(acc.to_bytes(2 * n, "little")))
 
     def _split_tables(self, w: int) -> tuple[bytes, ...]:
         """At index v: the low byte of w * v and of w * (v << 8), then the
@@ -383,26 +365,6 @@ class FieldContext:
     def alpha_pow(self, e: int) -> int:
         """alpha**e for any sign of e; negative powers go through 1/alpha."""
         return self.pow(self.alpha, e)
-
-    def order(self, a: int, cap: int = 1 << 20) -> int:
-        """Multiplicative order of a by repeated multiplication.
-
-        Raises FieldError once cap multiplications pass without closing the
-        cycle, which signals a group too large to walk -- use
-        order_at_least for a bounded certificate instead.
-        """
-        if a == 0:
-            raise DivisionByZero("zero has no multiplicative order")
-        if a == self.alpha and self.alpha_order is not None:
-            return self.alpha_order
-        v = a
-        k = 1
-        while v != 1:
-            v = self.mul(v, a)
-            k += 1
-            if k > cap:
-                raise FieldError("order exceeds cap %d" % cap)
-        return k
 
     def order_at_least(self, k: int) -> bool:
         """True when alpha's multiplicative order is >= k."""

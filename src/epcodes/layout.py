@@ -47,23 +47,21 @@ def transpose_code(code: EiiCode) -> EiiCode:
     return code._transposed
 
 
-def iterative_decode(code: EiiCode, grid: SymbolGrid, max_passes: int = 0) -> DecodeReport:
+def iterative_decode(code: EiiCode, grid: SymbolGrid) -> DecodeReport:
     """Alternate row and column erasure decoding until nothing moves.
 
     A pass is one directional decode: EiiCode.decode_rows of the code
     itself, or of the transposed code on the transposed grid, whose
     result is transposed back.  Rows always go first.  The loop stops
-    when the grid is clean, when a full row-plus-column cycle removes
-    no erasure, or when max_passes directional attempts have been spent
-    (0 means no cap).  Only the final report reaches the caller, and it
+    when the grid is clean or when a full row-plus-column cycle removes
+    no erasure.  Only the final report reaches the caller, and it
     counts only the passes that removed at least one erasure.
     """
     code.check_shape(grid)
     work = grid
     dirty = grid._dirty_rows()
     passes = attempts = stalled = 0
-    while (not work.is_clean() and stalled < 2
-           and not (max_passes and attempts >= max_passes)):
+    while not work.is_clean() and stalled < 2:
         if attempts % 2:
             rep = transpose_code(code).decode_rows(work.transpose())
             work = rep.grid.transpose()

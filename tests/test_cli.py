@@ -7,6 +7,8 @@ import contextlib
 import io
 import json
 import os
+import runpy
+import sys
 import tempfile
 
 import pytest
@@ -555,6 +557,53 @@ def test_negative_field_modulus_is_a_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert "modulus must be non-negative" in err
+
+
+@pytest.mark.parametrize("argv,exit_code,fragment", [
+    (["props", "--code", " C ( 5 , [ 1 , 1 , 2 , 5 ] ) "], 0,
+     "profile C(5,[1,1,2,5])"),
+    (["props", "--code", "C(7,[])"], 2,
+     "expected a number at position 5 in 'C(7,[])'"),
+    (["props", "--code", "C(5,[1,1,2,5]) x"], 2,
+     "trailing input at position 15"),
+    (["props", "--code", "C(5,[1,1,2,5])", "--field", "4:zz"], 2,
+     "bad modulus hex 'zz'"),
+    (["decode", "{missing}", "--code", "C(5,[1,1,2,5])"], 2,
+     "cannot read {missing}"),
+    (["encode", "--code", "C(5,[1,1,2,5])", "--data", "{object}"], 2,
+     "data file must hold a JSON list"),
+    (["decode", "{grid}", "--code", "C(5,[1,1,2])"], 2,
+     "grid is 4x5 but the code wants 3x5"),
+    (["bound", "--epc", "4,1", "--g", "1"], 2,
+     "epc spec '4,1' needs the form m,v;n,h"),
+    (["bound", "--epc", "4;1,2", "--g", "1"], 2,
+     "epc spec '4;1,2' needs the form m,v;n,h"),
+    # g = 1 needs two columns, but only n - h = 1 is free of row parity
+    (["bound", "--epc", "2,1;3,2", "--g", "1"], 0, "g bound\n1 -\n"),
+    (["simulate", "--trials", "5"], 2, "simulate needs --code or --lrc"),
+], ids=["spaces-in-spec", "no-entries", "trailing-input", "bad-modulus-hex",
+        "unreadable-grid", "data-not-a-list", "grid-shape", "epc-one-half",
+        "epc-one-number", "bound-empty-range", "simulate-no-model"])
+def test_each_input_gets_its_exit_code_and_message(tmp_path, capsys, argv,
+                                                    exit_code, fragment):
+    paths = {"missing": tmp_path / "missing.json",
+             "object": tmp_path / "object.json",
+             "grid": tmp_path / "grid.json"}
+    paths["object"].write_text("{}")
+    paths["grid"].write_text(json.dumps(_valid_grid_doc()))
+    code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+    assert code == exit_code
+    assert fragment.format(**paths) in (err if exit_code else out)
+    assert "Traceback" not in err
+
+
+def test_python_dash_m_runs_the_cli(monkeypatch, capsys):
+    # in-process, so that a line collector sees epcodes/__main__.py run
+    monkeypatch.setattr(sys, "argv", ["epcodes", "props", "--code", "C(3,[1])"])
+    with pytest.raises(SystemExit) as info:
+        runpy.run_module("epcodes", run_name="__main__")
+    assert info.value.code == 0
+    assert "profile C(3,[1])" in capsys.readouterr().out
 
 
 def test_auto_field_is_the_smallest_default_field_covering_the_grid():

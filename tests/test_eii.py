@@ -60,6 +60,12 @@ def test_profile_rejects_bad_entries():
         Profile((2, 1), 4)
     with pytest.raises(EntryExceedsN):
         Profile((1, 5), 4)
+    with pytest.raises(ProfileError, match="at least one row"):
+        Profile((), 4)
+    with pytest.raises(ProfileError, match="row length must be positive"):
+        Profile((0,), 0)
+    with pytest.raises(ProfileError, match="non-negative"):
+        Profile((-1, 2), 4)
     assert issubclass(NotSorted, ProfileError)
     assert issubclass(EntryExceedsN, ProfileError)
 
@@ -101,6 +107,7 @@ def test_profile_equality_and_make_profile():
     assert make_profile([1, 2], 4) == Profile((1, 2), 4)
     assert hash(Profile((1, 2), 4)) == hash(make_profile((1, 2), 4))
     assert Profile((1, 2), 4) != Profile((1, 2), 5)
+    assert repr(Profile((1, 2), 4)) == "Profile([1, 2], n=4)"
 
 
 # -- grids ---------------------------------------------------------------
@@ -133,6 +140,13 @@ def test_grid_transpose_round_trip():
     assert t.cells[2][0] == 3
     assert t.mask[2][0]
     assert t.transpose() == g
+
+
+def test_grid_rejects_ragged_cells_and_a_mismatched_mask():
+    with pytest.raises(ValueError, match="ragged grid"):
+        SymbolGrid([[1, 2], [3]])
+    with pytest.raises(ValueError, match="mask shape"):
+        SymbolGrid([[1, 2]], [[False]])
 
 
 # -- code membership and encoding ----------------------------------------
@@ -255,6 +269,8 @@ def test_row_correctable_prefix_matching():
     ok, rows = row_correctable(p, [0, 0, 4])
     assert not ok
     assert rows == {0, 1}  # the two light rows still clear
+    with pytest.raises(ValueError, match="one count per row"):
+        row_correctable(p, [1, 2])
 
 
 def test_decode_rows_round_trip_within_row_budgets():
@@ -323,6 +339,21 @@ def test_min_weight_codeword_hits_the_distance():
     weight = sum(1 for r in range(prof.m) for c in range(prof.n)
                  if w.cells[r][c])
     assert weight == d
+
+
+@pytest.mark.parametrize("level,rows,cols,message", [
+    (3, [3, 4, 5], [2, 3, 4, 5, 6], "level 3 outside 0..2"),
+    (2, [4, 5], [2, 3, 4, 5, 6], "want 3 rows"),
+    (2, [3, 4, 5], [3, 4, 5, 6], "want 5 columns"),
+    (2, [4, 5, 6], [2, 3, 4, 5, 6], "row index out of range"),
+    (2, [3, 4, 5], [3, 4, 5, 6, 7], "column index out of range"),
+])
+def test_min_weight_codeword_checks_its_support(level, rows, cols, message):
+    # C(7,[1,1,3,4,7,7]) has levels 1, 3 and 4; level 2 takes 2 + 1 rows
+    # and 4 + 1 columns
+    code = build_eii(GF8, 7, (1, 1, 3, 4, 7, 7))
+    with pytest.raises(ValueError, match=message):
+        code.min_weight_codeword(level, rows, cols)
 
 
 def test_assembled_matrix_annihilates_codewords():
@@ -709,7 +740,7 @@ def test_zero_encodes_of_both_layouts_build_no_tables(degree):
     assert encode_balanced(code, zeros) == SymbolGrid.zeros(16, 32)
     assert code._transposed is not None
     assert all(not rs._fills and rs._h is None for rs in _row_codes(code))
-    assert not ctx._byte_tables and not ctx._seen
+    assert not ctx._byte_tables
 
 
 SCHEDULE_FIELDS = {

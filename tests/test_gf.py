@@ -62,6 +62,7 @@ def test_pow_and_alpha_pow_agree():
     ctx = default_field(3)
     for e in range(20):
         assert ctx.alpha_pow(e) == ctx.pow(ctx.alpha, e)
+    assert (ctx.pow(0, 0), ctx.pow(0, 3)) == (1, 0)
     # negative exponents invert
     assert ctx.mul(ctx.alpha_pow(-1), ctx.alpha) == 1
 
@@ -70,9 +71,15 @@ def test_primitive_alpha_generates_multiplicative_group():
     ctx = default_field(4)
     seen = {ctx.alpha_pow(e) for e in range(15)}
     assert seen == set(range(1, 16))
-    assert ctx.order(ctx.alpha) == 15
+    assert ctx.alpha_order == 15
     assert ctx.order_at_least(15)
     assert not ctx.order_at_least(16)
+    # with its order unknown, the walk finds that x has order 5 modulo
+    # 1 + x + x^2 + x^3 + x^4
+    poly = FieldContext(4, 0b11111, "polynomial")
+    assert (poly.alpha, poly.alpha_order) == (2, None)
+    assert poly.order_at_least(5)
+    assert not poly.order_at_least(6)
 
 
 def test_table_alpha_is_the_smallest_primitive_element():
@@ -141,6 +148,18 @@ def test_reducible_modulus_rejected():
     # x^3 + 1 = (x + 1)(x^2 + x + 1)
     with pytest.raises(ReducibleModulus):
         build_field(3, 0b1001)
+    with pytest.raises(ReducibleModulus, match="zero constant term"):
+        build_field(3, 0b1010)
+
+
+def test_representation_checks_and_the_gf2_polynomial_field():
+    with pytest.raises(FieldError, match="limited to degree <= 16"):
+        FieldContext(17, p2.find_irreducible(17), "table")
+    with pytest.raises(FieldError, match="unknown representation 'bits'"):
+        FieldContext(3, DEFAULT_MODULI[3], "bits")
+    # GF(2) as a polynomial field: alpha is 1, of order 1
+    gf2 = FieldContext(1, DEFAULT_MODULI[1], "polynomial")
+    assert (gf2.alpha, gf2.alpha_order) == (1, 1)
 
 
 def test_negative_modulus_rejected_at_once():
@@ -165,7 +184,7 @@ def test_all_ones_field_alpha_rotates_with_period_p():
     assert ctx.degree == 4
     assert ctx.alpha == 2
     assert ctx.alpha_pow(5) == 1
-    assert ctx.order(ctx.alpha) == 5
+    assert ctx.alpha_order == 5
     powers = [ctx.alpha_pow(e) for e in range(5)]
     assert len(set(powers)) == 5
 
@@ -176,6 +195,8 @@ def test_all_ones_field_rejects_bad_p():
     assert info.value.p == 7
     with pytest.raises(FieldError):
         build_aop_field(9)  # not prime
+    with pytest.raises(FieldError, match="odd prime"):
+        build_aop_field(2)
 
 
 @pytest.mark.parametrize("p,d", [(47, 23), (71, 35)])
@@ -188,6 +209,20 @@ def test_all_ones_factor_beyond_trial_division(p, d):
     assert p2.degree(factor) == d
     assert p2.is_irreducible(factor)
     assert p2.mod(p2.all_ones_poly(p), factor) == 0
+
+
+def test_gf2_polynomial_edge_cases():
+    with pytest.raises(ZeroDivisionError):
+        p2.divmod_(0b101, 0)
+    with pytest.raises(ZeroDivisionError, match="not invertible"):
+        p2.invmod(0b10, 0b110)  # x divides x^2 + x
+    assert not p2.is_irreducible(0) and not p2.is_irreducible(1)
+    with pytest.raises(ValueError, match="degree must be positive"):
+        p2.find_irreducible(0)
+    assert p2.find_irreducible(1) == 0b10
+    with pytest.raises(ValueError, match="no degree-1 factor"):
+        p2.smallest_factor(0b111, 1)  # 1 + x + x^2 has no root
+    assert p2.to_text(0) == "0"
 
 
 def test_smallest_aop_prime_values():
@@ -313,24 +348,22 @@ def test_large_all_ones_field_is_polynomial_backed():
     assert ctx.pow(2, 19) == 1
 
 
-def test_split_row_sum_admits_on_second_sighting_and_evicts_at_the_cap():
+def test_split_row_sum_caches_on_first_use_and_evicts_at_the_cap():
     # a fresh context, so no other test has filled its cache
     ctx = FieldContext(16, DEFAULT_MODULI[16])
-    tables, seen = ctx._byte_tables, ctx._seen
+    tables = ctx._byte_tables
     rng = random.Random(16)
     rows = [[rng.randrange(ctx.size) for _ in range(5)] for _ in range(2)]
     sizes = []
     for w in range(1, SPLIT_CACHE_CAP + 100):
-        for sighting in (1, 2):
+        for use in (1, 2):
             weights = [w, ctx.size - 1]
             want = [ctx.mul(weights[0], a) ^ ctx.mul(weights[1], b)
                     for a, b in zip(*rows)]
-            assert ctx.row_sum(weights, rows) == want, (w, sighting)
-            # a first sighting builds no tables; the second admits them
-            assert (w in tables) == (sighting == 2), (w, sighting)
-            assert w in seen
+            assert ctx.row_sum(weights, rows) == want, (w, use)
+            # the first use builds the weight's tables
+            assert w in tables, (w, use)
             assert len(tables) <= SPLIT_CACHE_CAP
-            assert len(seen) <= SPLIT_CACHE_CAP
             sizes.append(len(tables))
     # the cache filled and was cleared
     assert max(sizes) == SPLIT_CACHE_CAP

@@ -105,29 +105,14 @@ def test_iterative_clears_patterns_rows_alone_cannot():
     assert report.passes == 2
 
 
-def test_pass_cap_limits_work():
-    code = build_eii(GF8, 5, (1, 1, 2, 5))
-    rng = random.Random(25)
-    data = [rng.randrange(8) for _ in range(code.dimension())]
-    grid = code.encode(data)
-    for r, c in CROSS_PATTERN:
-        grid.erase(r, c)
-    capped = iterative_decode(code, grid, max_passes=1)
-    full = iterative_decode(code, grid)
-    assert full.status == "FullyCorrected"
-    assert capped.status == "PartiallyCorrected"
-    assert capped.grid.erasure_count() > 0
-
-
-def _iterative_by_passes(code, grid, max_passes=0):
+def _iterative_by_passes(code, grid):
     """iterative_decode as a report per pass: copy the grid, then
     alternate decode_rows of the code and of the column code on the
     transpose, each column pass reported in the grid's orientation."""
     work = grid.copy()
     dirty = [r for r in range(code.m) if any(work.mask[r])]
     passes = attempts = stalled = 0
-    while (not work.is_clean() and stalled < 2
-           and not (max_passes and attempts >= max_passes)):
+    while not work.is_clean() and stalled < 2:
         if attempts % 2:
             rep = transpose_code(code).decode_rows(work.transpose())
             rep = DecodeReport.of(rep.grid.transpose(), rep.corrected_rows,
@@ -142,12 +127,12 @@ def _iterative_by_passes(code, grid, max_passes=0):
                            passes)
 
 
-@pytest.mark.parametrize("max_passes", [0, 1, 2, 3])
-def test_iterative_report_matches_a_report_per_pass(max_passes):
+@pytest.mark.parametrize("draw", [0, 1, 2, 3])
+def test_iterative_report_matches_a_report_per_pass(draw):
     # grid, status, corrected rows, residual and pass count, on patterns
     # that clear, stall part way and fail outright; every other code has
     # rows of budget 1 and so often needs several passes
-    rng = random.Random(31 + max_passes)
+    rng = random.Random(31 + draw)
     statuses, passes = set(), set()
     for trial in range(60):
         n = rng.randint(3, 9)
@@ -160,8 +145,8 @@ def test_iterative_report_matches_a_report_per_pass(max_passes):
             grid.cells[r][c] = rng.randrange(16)
             grid.erase(r, c)
         before = grid.copy()
-        got = iterative_decode(code, grid, max_passes)
-        want = _iterative_by_passes(code, grid, max_passes)
+        got = iterative_decode(code, grid)
+        want = _iterative_by_passes(code, grid)
         assert grid == before  # the input is left alone
         assert got.grid is not grid
         assert (got.grid, got.status, got.corrected_rows, got.residual,
@@ -170,8 +155,8 @@ def test_iterative_report_matches_a_report_per_pass(max_passes):
         statuses.add(got.status)
         passes.add(got.passes)
     assert statuses == {"FullyCorrected", "PartiallyCorrected", "Failed"}
-    # some decode uses two passes or more, where the cap allows it
-    assert max(passes) >= (1 if max_passes == 1 else 2)
+    # some decode uses two passes or more
+    assert max(passes) >= 2
 
 
 def test_hopeless_pattern_reports_failed():

@@ -8,7 +8,7 @@ from itertools import combinations, product
 import pytest
 
 from epcodes.gf import FieldContext, build_aop_field, build_field, default_field
-from epcodes.linalg import solve_unique
+from epcodes.linalg import ParityMatrix, solve_unique
 from epcodes.rs import LengthExceedsOrder, RsCode, build_rs
 
 
@@ -37,6 +37,16 @@ def test_length_capped_by_alpha_order():
         build_rs(aop, 6, 2)
 
 
+@pytest.mark.parametrize("n,u,message", [
+    (0, 0, "length must be positive"),
+    (5, 6, "parity count 6 outside 0..5"),
+    (5, -1, "parity count -1 outside 0..5"),
+])
+def test_code_shape_is_checked(n, u, message):
+    with pytest.raises(ValueError, match=message):
+        RsCode(default_field(3), n, u)
+
+
 def test_random_codewords_satisfy_checks_and_weight_bound():
     code = build_rs(default_field(4), 15, 6)
     rng = random.Random(1)
@@ -53,6 +63,10 @@ def test_parity_check_matrix_matches_syndromes():
     rng = random.Random(2)
     word = [rng.randrange(8) for _ in range(7)]
     assert code.parity_check().syndrome(word) == code.syndromes(word)
+    with pytest.raises(ValueError, match="word length 6 != 7 columns"):
+        code.parity_check().syndrome(word[:6])
+    with pytest.raises(ValueError, match="ragged parity matrix"):
+        ParityMatrix(code.ctx, [[1, 2], [3]])
 
 
 def test_erasure_round_trip_up_to_capacity():
@@ -73,6 +87,9 @@ def test_too_many_erasures_returns_none():
     rng = random.Random(4)
     w = random_codeword(code, rng)
     assert code.erasure_decode(w, [0, 1, 2]) is None
+    assert code.error_erasure_decode(w, [0, 1, 2]) is None
+    with pytest.raises(ValueError, match="word length 6 != n=7"):
+        code.erasure_decode(w[:6], [0])
 
 
 def test_non_codeword_with_no_erasures_returns_none():

@@ -164,6 +164,9 @@ def test_mean_is_deterministic_under_a_seed():
     assert (a.mean, a.std_error) == (b.mean, b.std_error)
     assert a.mean != c.mean
     assert a.seed == 3 and a.trials == 400
+    # one trial has no spread to estimate
+    one = mean_erasures_to_failure(model, trials=1, seed=3)
+    assert (one.trials, one.std_error) == (1, 0.0)
 
 
 def test_mean_histogram_accounts_for_every_trial():
@@ -185,6 +188,22 @@ def test_shared_seed_orders_the_three_models():
     it = mean_erasures_to_failure(DecoderModel.iterative(CODE),
                                   trials=300, seed=9).mean
     assert it >= rows and it >= cols
+
+
+@pytest.mark.parametrize("run,message", [
+    (lambda model: mean_erasures_to_failure(model, trials=0),
+     "at least one trial"),
+    (lambda model: correction_probability(model, 3, trials=0),
+     "at least one trial"),
+    (lambda model: correction_probability(model, 21, trials=5),
+     "num_erasures 21 outside 0..20"),
+    (lambda model: correction_probability(model, -1, trials=5),
+     "num_erasures -1 outside 0..20"),
+], ids=["mean-no-trials", "probability-no-trials", "too-many-erasures",
+        "negative-erasures"])
+def test_drivers_check_their_arguments(run, message):
+    with pytest.raises(ValueError, match=message):
+        run(DecoderModel.rows_only(CODE))
 
 
 def test_correction_probability_boundaries_and_monotonicity():
@@ -402,6 +421,8 @@ def test_birthday_expected_small_closed_forms():
     assert birthday_expected(1) == 2.0
     assert birthday_expected(2) == 2.5
     assert abs(birthday_expected(365) - 24.616585894598852) < 1e-12
+    with pytest.raises(ValueError, match="m >= 1"):
+        birthday_expected(0)
 
 
 @pytest.mark.parametrize("m", [2, 5, 10])

@@ -8,10 +8,16 @@ needed).  From the top of the repository:
 It traces every thread with sys.settrace from the moment pytest loads
 it, before any test module imports epcodes, and records the lines run
 in files of the package.  At the end of the session it prints, per
-module, the executable lines that never ran, as ranges, and the total.
+module, the executable lines that never ran, as ranges, then the
+misses on the allow-list (ALLOWED) with their reasons, and the total.
 A line is executable when the compiled module or one of its functions
 starts a line there.  Tracing makes the run about eight times slower,
 so the per-test timeout has to be lifted as above.
+
+It is a gate for the whole suite: when every test passed, the run
+still exits 1 if a line missed that is not on the allow-list.  A run of
+some of the tests misses more, so only the full run's status means
+anything.
 """
 
 from __future__ import annotations
@@ -30,8 +36,20 @@ if "epcodes" in sys.modules:
     raise ImportError("linecov must be loaded before epcodes is imported")
 PACKAGE_DIR = os.path.realpath(list(_SPEC.submodule_search_locations)[0])
 
+#: Misses that no test is meant to reach, keyed by module and stripped
+#: source line, each with why.
+ALLOWED = {
+    ("gf2poly.py",
+     'raise AssertionError("unreachable: irreducibles exist in every degree")'):
+        "guards an invariant: every degree has an irreducible polynomial",
+    ("cli.py", "sys.exit(main())"):
+        "runs only with cli.py as the main script; python -m epcodes runs "
+        "__main__.py",
+}
+
 _hits: dict[str, set[int]] = defaultdict(set)
 _ours: dict[str, bool] = {}
+_report: list[str] = []
 
 
 def _is_ours(filename: str) -> bool:
@@ -57,17 +75,18 @@ def _trace(frame, event, arg):
     return local
 
 
-def executable_lines(path: str) -> set[int]:
-    """The lines where the module's code objects start a line."""
+def executable_lines(path: str) -> tuple[set[int], list[str]]:
+    """The lines where the module's code objects start a line, and the
+    module's source lines."""
     with open(path, encoding="utf-8") as f:
-        code = compile(f.read(), path, "exec")
-    lines, todo = set(), [code]
+        source = f.read()
+    lines, todo = set(), [compile(source, path, "exec")]
     while todo:
         co = todo.pop()
         # a module's code starts at line 0, before any source line
         lines.update(line for _, line in dis.findlinestarts(co) if line)
         todo.extend(c for c in co.co_consts if hasattr(c, "co_code"))
-    return lines
+    return lines, source.splitlines()
 
 
 def _ranges(lines) -> str:
@@ -83,14 +102,15 @@ def _ranges(lines) -> str:
                      for r in out)
 
 
-def report() -> list[str]:
-    """Per module, the missed lines, then the total."""
-    out, ran, total = [], 0, 0
+def report() -> tuple[list[str], bool]:
+    """Per module, the missed lines off the allow-list, then the allowed
+    ones and the total; and whether the gate holds."""
+    out, allowed, ran, total, off = [], [], 0, 0, 0
     for name in sorted(os.listdir(PACKAGE_DIR)):
         if not name.endswith(".py"):
             continue
         path = os.path.join(PACKAGE_DIR, name)
-        want = executable_lines(path)
+        want, source = executable_lines(path)
         hit = set()
         for filename, lines in _hits.items():
             if os.path.realpath(filename) == path:
@@ -98,11 +118,20 @@ def report() -> list[str]:
         missed = want - hit
         ran += len(want) - len(missed)
         total += len(want)
+        for line in sorted(missed):
+            key = (name, source[line - 1].strip())
+            if key in ALLOWED:
+                missed.discard(line)
+                allowed.append("  %s:%d %s (%s)" % (name, line, key[1],
+                                                    ALLOWED[key]))
+        off += len(missed)
         out.append("%-12s %4d of %4d missed: %s"
                    % (name, len(missed), len(want), _ranges(missed) or "-"))
-    out.append("ran %d of %d executable lines (%.1f%%)"
-               % (ran, total, 100.0 * ran / max(total, 1)))
-    return out
+    out.append("allowed misses:")
+    out.extend(allowed or ["  -"])
+    out.append("ran %d of %d executable lines (%.1f%%); %d missed off the "
+               "allow-list" % (ran, total, 100.0 * ran / max(total, 1), off))
+    return out, not off
 
 
 def pytest_configure(config):
@@ -113,9 +142,13 @@ def pytest_configure(config):
 def pytest_sessionfinish(session, exitstatus):
     sys.settrace(None)
     threading.settrace(None)
+    lines, holds = report()
+    _report[:] = lines
+    if not holds and session.exitstatus == 0:
+        session.exitstatus = 1
 
 
 def pytest_terminal_summary(terminalreporter):
     terminalreporter.section("epcodes lines never run")
-    for line in report():
+    for line in _report:
         terminalreporter.write_line(line)
