@@ -31,8 +31,8 @@ from operator import itemgetter
 
 from .gf import FieldContext
 from .linalg import ParityMatrix
-from .rs import (RsCode, LengthExceedsOrder, build_rs, difference_weights,
-                 root_product)
+from .rs import (RsCode, LengthExceedsOrder, _peval, build_rs,
+                 difference_weights, root_product)
 
 FULLY_CORRECTED = "FullyCorrected"
 PARTIALLY_CORRECTED = "PartiallyCorrected"
@@ -288,7 +288,6 @@ class EiiCode:
         self._tail_mask = tuple((False,) * (profile.n - e) + (True,) * e
                                 for e in profile.entries)
         self._transposed: EiiCode | None = None  # see layout.transpose_code
-        self._powers: list[list[int]] = []  # see _combination_weights
         # per (target, pending), its isolation coefficients
         self._isolation: dict[tuple, list[int]] = {}
         # per parity mask, its compiled fill (see _schedule), and the
@@ -310,21 +309,11 @@ class EiiCode:
                                               self.profile.levels[level])
         return self._row_codes[level]
 
-    def _combination_weights(self, r: int) -> list[int]:
-        """alpha**(r*j) for the rows j: the weights of combination r,
-        built from those of r - 1 by one multiply per row."""
-        powers = self._powers
-        if r >= len(powers):
-            mul = self.ctx.mul
-            if not powers:
-                # r = 1, the row locators, by one multiply walk
-                loc = [1]
-                for _ in range(self.m - 1):
-                    loc.append(mul(loc[-1], self.ctx.alpha))
-                powers += [[1] * self.m, loc]
-            while len(powers) <= r:
-                powers.append([mul(a, x) for a, x in zip(powers[-1], powers[1])])
-        return powers[r]
+    @cached_property
+    def _combos(self) -> RsCode:
+        """The length-m RS code across the rows: its check r holds the
+        weights alpha**(r*j) of combination r, its locators the rows'."""
+        return RsCode(self.ctx, self.m, self.m)
 
     def dimension(self) -> int:
         return self.profile.dimension()
@@ -355,19 +344,14 @@ class EiiCode:
         return self.sums_hold(self.combination_sums(cells))
 
     def combination_sums(self, cells, count=None) -> list[list[int]]:
-        """S_r = sum_j alpha**(r*j) * row_j for r < count, by default
+        """S_r = sum_j alpha**(r*j) * row_j for r < count <= m, by default
         Profile.suffix_at(1): every combination that membership checks.
-        S_0, all weights 1, is the XOR of the rows."""
+        Each is one row_sum, S_0 too, whose weights 1 need no table."""
         if count is None:
             count = self.profile.suffix_at(1)
-        if not count:
-            return []
         packed = [None] * self.m
-        sums = [self.ctx.xor_rows(cells, packed)]
-        for r in range(1, count):
-            sums.append(self.ctx.row_sum(self._combination_weights(r), cells,
-                                         packed))
-        return sums
+        return [self.ctx.row_sum(weights, cells, packed)
+                for weights in self._combos.parity_check().rows[:count]]
 
     def sums_hold(self, sums) -> bool:
         """Whether each S_r of combination_sums lies in the row code of
@@ -396,16 +380,9 @@ class EiiCode:
         evaluated at alpha**j for each row j outside pending and target.
         Q vanishes on pending and target's weight is dropped, so those
         rows get 0."""
-        coefs = self._isolation_coefficients(target, pending)
-        mul, top, rest, weights = self.ctx.mul, coefs[-1], coefs[-2::-1], []
-        for j, x in enumerate(self._combination_weights(1)):
-            v = 0
-            if j != target and j not in pending:
-                v = top  # by Horner's rule
-                for c in rest:
-                    v = mul(v, x) ^ c
-            weights.append(v)
-        return weights
+        coefs, ctx = self._isolation_coefficients(target, pending), self.ctx
+        return [0 if j == target or j in pending else _peval(ctx, coefs, x)
+                for j, x in enumerate(self._combos._loc)]
 
     def _isolation_coefficients(self, target: int, pending) -> list[int]:
         """c_0..c_len(pending), lowest first: Q(z) / Q(alpha**target).
@@ -418,7 +395,7 @@ class EiiCode:
         key = (target, tuple(pending))
         coefs = self._isolation.get(key)
         if coefs is None:
-            ctx, locs = self.ctx, self._combination_weights(1)
+            ctx, locs = self.ctx, self._combos._loc
             pend = [locs[i] for i in pending]
             # Q(alpha**target) is the product of its factors there
             scale = ctx.inv(reduce(ctx.mul, [locs[target] ^ x for x in pend], 1))
@@ -506,8 +483,9 @@ class EiiCode:
         from old to new: by XOR under weight 1, else at the changed
         cells only."""
         mul, changes = self.ctx.mul, None
+        checks = self._combos.parity_check().rows
         for r, s in enumerate(sums):
-            w = self._combination_weights(r)[row]
+            w = checks[r][row]
             if w == 1:
                 sums[r] = [x ^ a ^ b for x, a, b in zip(s, new, old)]
                 continue
@@ -717,9 +695,9 @@ class EiiCode:
                 rows.append(vec)
         # alpha**(r*j + rp*c) = alpha**(r*j) * alpha**(rp*c): row code i's
         # check rp, weighted per row j as in combination r
+        combos = self._combos.parity_check().rows
         for i in range(1, self.profile.t + 1):
-            for r in range(self.profile.suffix_at(i)):
-                weights = self._combination_weights(r)
+            for weights in combos[:self.profile.suffix_at(i)]:
                 for h in self.row_code(i).parity_check().rows:
                     rows.append([ctx.mul(w, v) for w in weights for v in h])
         return ParityMatrix(ctx, rows)

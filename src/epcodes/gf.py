@@ -35,8 +35,7 @@ powers step by a shift, reduced once the degree is reached.
 from __future__ import annotations
 
 import struct
-from functools import lru_cache, reduce
-from operator import xor
+from functools import lru_cache
 
 from . import gf2poly as p2
 
@@ -225,10 +224,10 @@ class FieldContext:
         row is multiplied at once, as bytes through bytes.translate, and
         the products are added as little-endian ints by XOR.  Up to
         degree 8 a row is one byte string and a weight has one 256-byte
-        product table, except 1, which adds the row as it is.  From
-        degree 9 to 16 a row splits into its low and high bytes and a
-        weight has four tables (see _split_tables), built on its first
-        use.  Above degree 16 the row is multiplied symbol by symbol.
+        product table.  From degree 9 to 16 a row splits into its low and
+        high bytes and a weight has four tables (see _split_tables),
+        built on its first use.  Weight 1 has no table: the row is added
+        as it is.  Above degree 16 the row is multiplied symbol by symbol.
 
         A caller summing the same rows under several weight lists may
         pass packed, one slot per row, initially None: a row's bytes are
@@ -266,28 +265,6 @@ class FieldContext:
                         out[c] ^= mul(w, v)
         return out
 
-    def xor_rows(self, rows, packed: list) -> list[int]:
-        """sum_j rows[j]: row_sum with every weight 1, one XOR per row.
-
-        Up to degree 16 the rows are XORed packed, with packed, one slot
-        per row, filled as row_sum fills it, so that a later row_sum over
-        the same rows reuses their bytes.
-        """
-        n = len(rows[0])
-        if self.degree > 16:
-            return [reduce(xor, col) for col in zip(*rows)]
-        words = _packing(n)[0] if self.degree > 8 else None
-        acc = 0
-        for j, row in enumerate(rows):
-            raw = packed[j]
-            if raw is None:
-                raw = packed[j] = (b"" if not any(row) else bytes(row)
-                                   if words is None else words.pack(*row))
-            acc ^= int.from_bytes(raw, "little")
-        if words is None:
-            return list(acc.to_bytes(n, "little"))
-        return list(words.unpack(acc.to_bytes(2 * n, "little")))
-
     def _split_row_sum(self, weights, rows, n: int, packed: list) -> list[int]:
         """row_sum from degree 9 to 16.
 
@@ -297,12 +274,13 @@ class FieldContext:
         four results, end to end, make one int of 8n bytes that is XORed
         into the sum.  XOR keeps every byte in place, so at the end a
         mask per quarter keeps the meant bytes and a shift moves each
-        product byte to its symbol's low or high byte.
+        product byte to its symbol's low or high byte.  A row of weight
+        1 goes as it is into a second sum of 2n bytes, added at the end.
         """
         tables = self._byte_tables
         words, even = _packing(n)
         pack = words.pack
-        acc = 0
+        acc = plain = 0
         for j, w in enumerate(weights):
             if not w:
                 continue
@@ -311,6 +289,9 @@ class FieldContext:
                 row = rows[j]
                 raw = packed[j] = pack(*row) if any(row) else b""
             if not raw:
+                continue
+            if w == 1:
+                plain ^= int.from_bytes(raw, "little")
                 continue
             tab = tables.get(w)
             if tab is None:
@@ -323,7 +304,7 @@ class FieldContext:
                                   "little")
         bits = 16 * n
         odd = even << 8
-        acc = ((acc & even) ^ (acc >> (bits + 8) & even)
+        acc = (plain ^ (acc & even) ^ (acc >> (bits + 8) & even)
                ^ (acc >> (2 * bits - 8) & odd) ^ (acc >> (3 * bits) & odd))
         return list(words.unpack(acc.to_bytes(2 * n, "little")))
 

@@ -12,10 +12,10 @@ whole word through that map's syndrome tables, whose columns at the
 erased positions are zero, built once per position tuple and kept on
 the code.  Other erasures are solved from one syndrome pass: on a table
 field by the dual Vandermonde recurrences on logs, with the spare
-checks read from the same syndromes.  With errors as well,
-Berlekamp-Massey seeded with the erasures locates the errata, a Chien
-search over the error locator alone finds the errors, and the erasure
-decoder supplies the values.
+checks read from the same syndromes, and on a polynomial field by
+elimination.  With errors as well, Berlekamp-Massey seeded with the
+erasures locates the errata, a Chien search over the error locator
+alone finds the errors, and the erasure decoder supplies the values.
 With one parity the syndrome is the plain sum of the word, and a lone
 erasure is the sum of the rest.  With u = n the code is {0}, decided
 without any check matrix.  Decoding failures are returned as None,
@@ -28,9 +28,7 @@ from functools import reduce
 from operator import xor
 
 from .gf import FieldContext
-from .linalg import ParityMatrix, lanes, table_sum
-# not called here; bench/tracing.py wraps rs.solve_unique at this site
-from .linalg import solve_unique  # noqa: F401
+from .linalg import ParityMatrix, lanes, solve_unique, table_sum
 
 
 class LengthExceedsOrder(ValueError):
@@ -176,16 +174,19 @@ class RsCode:
         On a table field the system is solved on logs by the dual
         Vandermonde recurrences of Bjorck and Pereyra: e(e-1)/2
         multiply-adds, then as many divisions by locator differences and
-        additions; one erasure is x = S_0.  A polynomial field multiplies
-        through Forney's closed form (_solve).  In the zero code (u = n)
-        the result is 0 exactly when every known symbol is.  One erasure
-        under one check, or exactly the last u positions, is filled by
-        fill, with no solve.
+        additions; one erasure is x = S_0.  A polynomial field eliminates
+        the check rows at the erased positions against all u syndromes
+        (linalg.solve_unique), where a pivot in the syndrome column is a
+        failed spare check.  In the zero code (u = n) the result is 0
+        exactly when every known symbol is.  One erasure under one check,
+        or exactly the last u positions, is filled by fill, with no solve.
         """
         e = tuple(sorted(set(erasures)))
         n, u = self.n, self.u
         if len(word) != n:
             raise ValueError("word length %d != n=%d" % (len(word), n))
+        if e and (e[0] < 0 or e[-1] >= n):
+            raise ValueError("erasure position outside 0..%d" % (n - 1))
         if len(e) > u:
             return None
         if e and u < n and (u == 1 or e == self._tail):
@@ -201,66 +202,45 @@ class RsCode:
         if not e:
             return None
         if self._logs is None:
-            return self._solve(y, e, syn)
-        exp, log = self.ctx._exp, self.ctx._log
-        q = self.ctx.size - 1
-        k = len(e)
-        lx = [self._logs[j] for j in e]
-        vals = syn[:k]
-        if k > 1:
-            # the dual Vandermonde recurrences of Bjorck and Pereyra
-            # (Golub and Van Loan, Matrix Computations, 4.6.2), on logs
-            xs = [self._loc[j] for j in e]
-            for i in range(k - 1):
-                a = lx[i]
-                for r in range(k - 1, i, -1):
-                    if vals[r - 1]:
-                        vals[r] ^= exp[a + log[vals[r - 1]]]
-            for i in range(k - 2, -1, -1):
-                for r in range(i + 1, k):
-                    if vals[r]:
-                        vals[r] = exp[log[vals[r]] + q - log[xs[r] ^ xs[r - i - 1]]]
-                for r in range(i, k - 1):
-                    vals[r] ^= vals[r + 1]
-        if k < u:
-            # the spare checks: S_r less sum_i x_i X_i**r must vanish
-            rest = syn[k:]
-            for v, a in zip(vals, lx):
-                if v:
-                    t = log[v] + k * a
-                    for r in range(u - k):
-                        rest[r] ^= exp[t % q]
-                        t += a
-            if any(rest):
+            rows = [[h[j] for j in e] for h in self.parity_check().rows]
+            vals = solve_unique(self.ctx, rows, syn)
+            if vals is None:
                 return None
+        else:
+            exp, log = self.ctx._exp, self.ctx._log
+            q = self.ctx.size - 1
+            k = len(e)
+            lx = [self._logs[j] for j in e]
+            vals = syn[:k]
+            if k > 1:
+                # the dual Vandermonde recurrences of Bjorck and Pereyra
+                # (Golub and Van Loan, Matrix Computations, 4.6.2), on logs
+                xs = [self._loc[j] for j in e]
+                for i in range(k - 1):
+                    a = lx[i]
+                    for r in range(k - 1, i, -1):
+                        if vals[r - 1]:
+                            vals[r] ^= exp[a + log[vals[r - 1]]]
+                for i in range(k - 2, -1, -1):
+                    for r in range(i + 1, k):
+                        if vals[r]:
+                            vals[r] = exp[log[vals[r]] + q - log[xs[r] ^ xs[r - i - 1]]]
+                    for r in range(i, k - 1):
+                        vals[r] ^= vals[r + 1]
+            if k < u:
+                # the spare checks: S_r less sum_i x_i X_i**r must vanish
+                rest = syn[k:]
+                for v, a in zip(vals, lx):
+                    if v:
+                        t = log[v] + k * a
+                        for r in range(u - k):
+                            rest[r] ^= exp[t % q]
+                            t += a
+                if any(rest):
+                    return None
         for j, v in zip(e, vals):
             y[j] = v
         return y
-
-    def _solve(self, y: list[int], e: tuple, syn: list[int]) -> list[int] | None:
-        """erasure_decode's solve by field multiplications, on y with the
-        erasures zeroed and its syndromes syn, not all zero: Forney's
-
-            x_i = sum_{r<e} q_{i,r} S_r / prod_{l != i} (X_i + X_l),
-
-        where q_i(z) = P(z) / (z + X_i) and P(z) = prod_l (z + X_l), the
-        erasure locator with its coefficients reversed."""
-        mul = self.ctx.mul
-        locs = [self._loc[j] for j in e]
-        poly = root_product(self.ctx, locs)
-        vals = []
-        for x, w in zip(locs, difference_weights(self.ctx, locs)):
-            # synthetic division of P by (z + x), highest coefficient first
-            q = 1
-            num = syn[len(e) - 1]
-            for r in range(len(e) - 2, -1, -1):
-                q = poly[r + 1] ^ mul(x, q)
-                num ^= mul(q, syn[r])
-            vals.append(mul(num, w))
-        for j, v in zip(e, vals):
-            y[j] = v
-        # the first e checks hold by construction
-        return y if len(e) == self.u or self.contains(y) else None
 
     # -- errors and erasures --------------------------------------------
 
@@ -287,14 +267,18 @@ class RsCode:
         errors are the nonzero known symbols, counted with no syndrome.
         """
         e = sorted(set(erasures))
-        u = self.u
+        n, u = self.n, self.u
+        if len(word) != n:
+            raise ValueError("word length %d != n=%d" % (len(word), n))
+        if e and (e[0] < 0 or e[-1] >= n):
+            raise ValueError("erasure position outside 0..%d" % (n - 1))
         if len(e) > u:
             return None
         ctx = self.ctx
         y = list(word)
         for j in e:
             y[j] = 0
-        if u == self.n:
+        if u == n:
             # the zero code: every nonzero known symbol is an error
             errs = sum(map(bool, y))
             return ([0] * u, errs) if 2 * errs + len(e) <= u else None

@@ -238,19 +238,25 @@ def test_membership_needs_fully_known_grid():
 
 
 def test_weighted_row_sums_land_in_deeper_row_codes():
-    code = build_eii(GF8, 7, (1, 1, 3, 4, 7, 7))
-    prof = code.profile
-    grid = random_grid_codeword(code, random.Random(12))
-    ctx = code.ctx
-    for level in range(1, prof.t + 1):
-        deep = code.row_code(level)
-        for r in range(prof.suffix_at(level)):
+    # combination_sums against the definition for every r < m, S_0 too,
+    # on a byte field, a split-table field and a polynomial one
+    for ctx in (GF8, default_field(16), default_field(20)):
+        code = build_eii(ctx, 7, (1, 1, 3, 4, 7, 7))
+        prof = code.profile
+        grid = random_grid_codeword(code, random.Random(12))
+        combos = []
+        for r in range(prof.m):
             combo = [0] * prof.n
             for j in range(prof.m):
                 w = ctx.alpha_pow(r * j)
                 for c in range(prof.n):
                     combo[c] ^= ctx.mul(w, grid.cells[j][c])
-            assert deep.contains(combo)
+            combos.append(combo)
+        assert code.combination_sums(grid.cells, prof.m) == combos, ctx
+        for level in range(1, prof.t + 1):
+            deep = code.row_code(level)
+            for r in range(prof.suffix_at(level)):
+                assert deep.contains(combos[r]), (ctx, level, r)
 
 
 def test_perturbing_one_cell_leaves_the_code():

@@ -298,8 +298,11 @@ def test_table_kernels_match_scalar_multiplication(field):
 
         rows = [[_random_symbol(ctx, rng) for _ in range(n)] for _ in range(6)]
         rows[1] = [0] * n
+        # weight 1 adds its row with no table, beside rows that use one
         for weights in ([0] * 6, [_random_symbol(ctx, rng) for _ in range(6)],
-                        [rng.randrange(ctx.size) for _ in range(6)]):
+                        [rng.randrange(ctx.size) for _ in range(6)],
+                        [1, 1, 0, rng.randrange(1, ctx.size), 1, 0],
+                        [rng.randrange(ctx.size), 0, 1, 1, 0, 1], [1] * 6):
             want = [0] * n
             for w, row in zip(weights, rows):
                 for c, v in enumerate(row):
@@ -361,8 +364,8 @@ def test_split_row_sum_caches_on_first_use_and_evicts_at_the_cap():
             want = [ctx.mul(weights[0], a) ^ ctx.mul(weights[1], b)
                     for a, b in zip(*rows)]
             assert ctx.row_sum(weights, rows) == want, (w, use)
-            # the first use builds the weight's tables
-            assert w in tables, (w, use)
+            # the first use builds the weight's tables; 1 needs none
+            assert (w in tables) == (w != 1), (w, use)
             assert len(tables) <= SPLIT_CACHE_CAP
             sizes.append(len(tables))
     # the cache filled and was cleared

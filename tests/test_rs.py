@@ -88,8 +88,16 @@ def test_too_many_erasures_returns_none():
     w = random_codeword(code, rng)
     assert code.erasure_decode(w, [0, 1, 2]) is None
     assert code.error_erasure_decode(w, [0, 1, 2]) is None
-    with pytest.raises(ValueError, match="word length 6 != n=7"):
-        code.erasure_decode(w[:6], [0])
+    for decode in (code.erasure_decode, code.error_erasure_decode):
+        with pytest.raises(ValueError, match="word length 6 != n=7"):
+            decode(w[:6], [0])
+        # a position off the word is refused, not read as another one
+        for spots in ([7], [-1], [0, 7], [-1, 3], [0, 1, 7]):
+            with pytest.raises(ValueError, match=r"outside 0\.\.6"):
+                decode(w, spots)
+    # the zero code computes no syndrome, and still checks the length
+    with pytest.raises(ValueError, match="word length 2 != n=7"):
+        build_rs(default_field(3), 7, 7).error_erasure_decode([0, 0], [])
 
 
 def test_non_codeword_with_no_erasures_returns_none():
@@ -511,7 +519,7 @@ def _check_sum(code: RsCode, word, r: int) -> int:
 
 def _twin(ctx):
     """The same field and alpha in the polynomial representation, whose
-    erasure solve multiplies instead of reading logs."""
+    erasure solve eliminates instead of reading logs."""
     twin = FieldContext(ctx.degree, ctx.modulus, "polynomial", ctx.alpha,
                         ctx.alpha_order)
     assert twin.representation == "polynomial" and twin.alpha == ctx.alpha
@@ -528,11 +536,12 @@ DIFF_FIELDS = {
 
 
 @pytest.mark.parametrize("field", DIFF_FIELDS)
-def test_erasure_decode_matches_elimination_and_the_multiplying_solve(field):
+def test_erasure_decode_matches_elimination_in_both_representations(field):
     # every e = 0..u at random positions, then the exact tail, which
     # erasure_decode hands to fill as it does u = 1, on a codeword (must
     # come back) and on the codeword with one known symbol changed (must
-    # give None below u erasures, and the elimination's fill at u)
+    # give None below u erasures, and the elimination's fill at u); the
+    # reference, _eliminated_fill, takes its syndromes from the definition
     make, n, parities = DIFF_FIELDS[field]
     ctx = make()
     twin = None if ctx.representation == "polynomial" else _twin(ctx)
