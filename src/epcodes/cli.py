@@ -11,7 +11,9 @@ decode needs no side channel beyond the code profile:
      "cells": [["3", null, "0", ...], ...]}
 
 Cell values are hex strings; null marks an erasure (zero is a legal
-symbol, so no sentinel value could stand in for missing data).
+symbol, so no sentinel value could stand in for missing data).  A grid
+file holds the bytes of json.dumps(doc, indent=2, sort_keys=True) and a
+newline (see grid_text).
 
 Exit codes: 0 success, 1 clean run but uncorrectable input, 2 usage or
 parse error or a file that cannot be read or written, 3 capability
@@ -44,9 +46,11 @@ class CliError(ValueError):
     """Bad command input; reported on stderr and mapped to exit 2."""
 
 
+@functools.lru_cache(maxsize=8)
 def parse_code_spec(text: str) -> Profile:
     """Parse "C(n,[u0,u1,...])" into a profile, pointing at the first
-    offending character on failure."""
+    offending character on failure.  A process keeps the last eight
+    profiles, so the commands of one process parse a spec once."""
     pos = 0
 
     def skip_ws():
@@ -137,8 +141,9 @@ def resolve_code(args) -> EiiCode:
 
 
 def grid_to_json(grid: SymbolGrid, ctx: FieldContext) -> dict:
-    cells = [[None if grid.mask[r][c] else format(grid.cells[r][c], 'x')
-              for c in range(grid.n)] for r in range(grid.m)]
+    cells = [[None if erased else '%x' % v
+              for v, erased in zip(row, mask)]
+             for row, mask in zip(grid.cells, grid.mask)]
     return {"m": grid.m, "n": grid.n,
             "field": {"degree": ctx.degree, "modulus": format(ctx.modulus, 'x')},
             "cells": cells}
@@ -175,15 +180,20 @@ def grid_from_json(doc: dict) -> tuple[SymbolGrid, FieldContext]:
     if not isinstance(raw, list) or len(raw) != m or any(
             not isinstance(row, list) or len(row) != n for row in raw):
         raise CliError("grid file cells do not match shape %dx%d" % (m, n))
-    cells = [[0] * n for _ in range(m)]
-    mask = [[False] * n for _ in range(m)]
-    for r, row in enumerate(raw):
-        for c, val in enumerate(row):
-            if val is None:
-                mask[r][c] = True
-                continue
-            cells[r][c] = ctx.check(_symbol(val))
-    return SymbolGrid(cells, mask), ctx
+    mask = [[val is None for val in row] for row in raw]
+    try:
+        cells = [[0 if val is None else int(val, 16) for val in row]
+                 for row in raw]
+        plain = (min(map(min, cells)) >= 0
+                 and max(map(max, cells)) < ctx.size)
+    except (TypeError, ValueError):
+        plain = False  # a JSON integer, a bad cell or an empty grid
+    if not plain:
+        # the cell by cell reading accepts integers and names the first
+        # bad cell
+        cells = [[0 if val is None else ctx.check(_symbol(val))
+                  for val in row] for row in raw]
+    return SymbolGrid._of(cells, mask), ctx
 
 
 def _write(path, text: str) -> None:
@@ -192,14 +202,33 @@ def _write(path, text: str) -> None:
         sys.stdout.write(text)
         return
     try:
-        with open(path, 'w') as fh:
-            fh.write(text)
+        with open(path, 'wb') as fh:
+            fh.write(text.encode())  # every document written is ASCII
     except OSError as exc:
         raise CliError("cannot write %s: %s" % (path, exc)) from None
 
 
 def _emit(doc, out_path):
     _write(out_path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+# The cells of a grid document by json's C encoder, with the separator
+# that json.dumps(..., indent=2) puts between the cells of a row.  A cell
+# is a hex string or null, so a "],\n      [" can only join two rows.
+_encode_cells = json.JSONEncoder(separators=(',\n      ', ': ')).encode
+
+
+def grid_text(doc: dict) -> str:
+    """json.dumps(doc, indent=2, sort_keys=True) + "\n", byte for byte,
+    for a grid_to_json document of at least one row and column, without
+    the pure-Python encoder that an indent selects."""
+    rows = _encode_cells(doc["cells"])[2:-2].replace(
+        '],\n      [', '\n    ],\n    [\n      ')
+    return ('{\n  "cells": [\n    [\n      %s\n    ]\n  ],\n'
+            '  "field": {\n    "degree": %d,\n    "modulus": "%s"\n  },\n'
+            '  "m": %d,\n  "n": %d\n}\n'
+            % (rows, doc["field"]["degree"], doc["field"]["modulus"],
+               doc["m"], doc["n"]))
 
 
 def _load(path):
@@ -231,12 +260,15 @@ def cmd_encode(args) -> int:
     doc = _load(args.data)
     if not isinstance(doc, list):
         raise CliError("data file must hold a JSON list of symbols")
-    data = [_symbol(v) for v in doc]
+    try:
+        data = [int(v, 16) for v in doc]
+    except (TypeError, ValueError):
+        data = [_symbol(v) for v in doc]  # integers, or name the bad one
     if args.layout == BALANCED:
         grid = encode_balanced(code, data)
     else:
         grid = code.encode(data)
-    _emit(grid_to_json(grid, code.ctx), args.out)
+    _write(args.out, grid_text(grid_to_json(grid, code.ctx)))
     return 0
 
 
@@ -258,7 +290,7 @@ def cmd_decode(args) -> int:
         if args.mode == "rows":
             rep = code.decode_rows(grid)
         elif args.mode == "cols":
-            trep = transpose_code(code).decode_rows(grid.transpose())
+            trep = transpose_code(code)._decode_rows(grid.transpose())
             rep = DecodeReport.of(trep.grid.transpose(), trep.corrected_rows,
                                   trep.passes)
         else:
@@ -271,7 +303,7 @@ def cmd_decode(args) -> int:
         if grid.is_clean() and not code.is_codeword(grid):
             # with nothing erased the decoders change nothing; check parity
             report["status"], ok = FAILED, False
-    _emit(grid_to_json(fixed, ctx), args.out)
+    _write(args.out, grid_text(grid_to_json(fixed, ctx)))
     if args.report:
         _emit(report, args.report)
     else:

@@ -528,7 +528,11 @@ class EiiCode:
         exactly where correction stops.
         """
         self.check_shape(grid)
-        g = grid.copy()
+        return self._decode_rows(grid.copy())
+
+    def _decode_rows(self, g: SymbolGrid) -> DecodeReport:
+        """decode_rows on a grid of the code's shape that the caller
+        hands over: g is corrected in place and becomes the report's."""
         dirty = g._dirty_rows()
         left, _ = self.peel(g, self.decode_outer_rows(g, dirty,
                                                       RsCode.erasure_decode),

@@ -63,10 +63,13 @@ def iterative_decode(code: EiiCode, grid: SymbolGrid) -> DecodeReport:
     passes = attempts = stalled = 0
     while not work.is_clean() and stalled < 2:
         if attempts % 2:
-            rep = transpose_code(code).decode_rows(work.transpose())
+            rep = transpose_code(code)._decode_rows(work.transpose())
             work = rep.grid.transpose()
         else:
-            rep = code.decode_rows(work)
+            # only the first pass reads the caller's grid; later passes
+            # correct the grid an earlier pass handed back
+            rep = (code.decode_rows(work) if work is grid
+                   else code._decode_rows(work))
             work = rep.grid
         attempts += 1
         passes += rep.passes

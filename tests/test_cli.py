@@ -16,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from epcodes import cli
 from epcodes.cli import CliError, auto_field, main, parse_code_spec
-from epcodes.eii import Profile
+from epcodes.eii import Profile, SymbolGrid
 from epcodes.gf import default_field
 
 
@@ -662,3 +662,140 @@ def test_malformed_grid_files_exit_with_a_message(doc):
                          "--mode", "errors"])
     assert code in (2, 3)
     assert err.getvalue().startswith(("error:", "capability:"))
+
+
+# -- grid file bytes and cell reading --------------------------------------
+
+@st.composite
+def grid_docs(draw):
+    """A grid_to_json document: 1x1 to 16x32, degree 1 to 16, any share
+    of erased cells, with some rows erased whole."""
+    degree = draw(st.integers(1, 16))
+    m, n = draw(st.integers(1, 16)), draw(st.integers(1, 32))
+    rng = draw(st.randoms(use_true_random=False))
+    erased = draw(st.sampled_from([0.0, 1.0]) | st.floats(0, 1))
+    null_rows = draw(st.sets(st.integers(0, m - 1)))
+    cells = [[rng.randrange(1 << degree) for _ in range(n)] for _ in range(m)]
+    mask = [[r in null_rows or rng.random() < erased for _ in range(n)]
+            for r in range(m)]
+    return cli.grid_to_json(SymbolGrid(cells, mask), default_field(degree))
+
+
+@settings(max_examples=100, deadline=None)
+@given(grid_docs())
+def test_grid_writer_is_indented_sorted_json(doc):
+    assert cli.grid_text(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_grid_files_are_indented_sorted_json(tmp_path, capsys):
+    # the byte format README promises, on files the commands write
+    spec = "C(5,[1,1,2,5])"
+    (tmp_path / "data.json").write_text(json.dumps([v % 8 for v in range(11)]))
+    grid, fixed = tmp_path / "grid.json", tmp_path / "fixed.json"
+    assert run(capsys, "encode", "--code", spec, "--data",
+               str(tmp_path / "data.json"), "--out", str(grid))[0] == 0
+    written = [grid.read_bytes()]
+    doc = json.loads(written[0])
+    doc["cells"][1] = [None] * 5
+    grid.write_text(json.dumps(doc))
+    assert run(capsys, "decode", str(grid), "--code", spec, "--mode", "rows",
+               "--out", str(fixed))[0] == 0
+    written.append(fixed.read_bytes())
+    assert written[1] == written[0]  # the erased row is back
+    text = written[0].decode("ascii")
+    assert text == json.dumps(json.loads(text), indent=2,
+                              sort_keys=True) + "\n"
+
+
+def _cell_by_cell(doc):
+    """Cells and mask as each cell reads on its own: null an erasure, a
+    JSON integer its value, a string its hex value."""
+    return ([[0 if v is None else v if type(v) is int else int(v, 16)
+              for v in row] for row in doc["cells"]],
+            [[v is None for v in row] for row in doc["cells"]])
+
+
+# int(text, 16) takes surrounding spaces, underscores between digits, any
+# case and a 0x prefix; a JSON integer cell is its own value
+_CELL_FORMS = [lambda v: v, "{:x}".format, "{:X}".format, " {:x}".format,
+               "{:x} ".format, "0x{:x}".format,
+               lambda v: "_".join("{:x}".format(v))]
+
+
+@st.composite
+def valid_grid_docs(draw):
+    degree = draw(st.integers(1, 16))
+    ctx = default_field(degree)
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    cell = st.one_of(st.none(), st.builds(
+        lambda form, v: form(v), st.sampled_from(_CELL_FORMS),
+        st.integers(0, ctx.size - 1)))
+    return {"m": m, "n": n,
+            "field": {"degree": degree, "modulus": format(ctx.modulus, "x")},
+            "cells": draw(st.lists(st.lists(cell, min_size=n, max_size=n),
+                                   min_size=m, max_size=m))}
+
+
+@settings(max_examples=100, deadline=None)
+@given(valid_grid_docs())
+@example({"m": 1, "n": 5, "field": {"degree": 5, "modulus": "25"},
+          "cells": [[None, " a", "1_0", "A", 7]]})
+@example({"m": 2, "n": 2, "field": {"degree": 5, "modulus": "25"},
+          "cells": [[None, " a"], ["1_0", "A"]]})
+def test_grid_reader_matches_the_cell_by_cell_reading(doc):
+    grid, ctx = cli.grid_from_json(doc)
+    assert (ctx.degree, format(ctx.modulus, "x")) == (
+        doc["field"]["degree"], doc["field"]["modulus"])
+    assert (grid.m, grid.n) == (doc["m"], doc["n"])
+    assert (grid.cells, grid.mask) == _cell_by_cell(doc)
+
+
+@pytest.mark.parametrize("bad,message", [
+    (True, "bad symbol True (want a hex string or an integer)"),
+    (1.5, "bad symbol 1.5 (want a hex string or an integer)"),
+    ("-1", "value -1 is not an element of GF(2^3)"),
+    ("8", "value 8 is not an element of GF(2^3)"),
+    (8, "value 8 is not an element of GF(2^3)"),
+    ([1], "bad symbol [1] (want a hex string or an integer)"),
+])
+def test_bad_grid_cell_is_named_first_in_row_major_order(tmp_path, capsys,
+                                                         bad, message):
+    # once as the only cell that is not a hex symbol, once behind a JSON
+    # integer and ahead of another bad cell, which goes unnamed
+    for others in ({}, {(0, 0): 5, (3, 1): "zz"}):
+        doc = _valid_grid_doc()
+        doc["cells"][2][3] = bad
+        for (r, c), value in others.items():
+            doc["cells"][r][c] = value
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(doc))
+        assert run(capsys, "decode", str(path), "--code",
+                   "C(5,[1,1,2,5])") == (2, "", "error: %s\n" % message)
+
+
+def test_data_symbols_read_as_hex_or_integers(tmp_path, capsys):
+    spec = "C(5,[1,1,2,5])"
+    outputs = []
+    symbols = [v % 8 for v in range(11)]
+    for data in ([format(v, "x") for v in symbols], symbols,
+                 ["0", 1, " 2", "3"] + symbols[4:]):
+        path = tmp_path / "data.json"
+        path.write_text(json.dumps(data))
+        outputs.append(run(capsys, "encode", "--code", spec,
+                           "--data", str(path)))
+    assert outputs[0][0] == 0
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    for bad in ("-1", "8"):
+        path.write_text(json.dumps([bad] + ["0"] * 10))
+        assert run(capsys, "encode", "--code", spec, "--data", str(path)) == (
+            2, "", "error: value %d is not an element of GF(2^3)\n"
+            % int(bad, 16))
+
+
+def test_parsed_specs_are_kept_and_bad_specs_raise_every_time():
+    spec = "C(6,[1,2,2,6])"
+    assert parse_code_spec(spec) is parse_code_spec(spec)
+    assert parse_code_spec(spec) == Profile([1, 2, 2, 6], 6)
+    for _ in range(2):
+        with pytest.raises(CliError, match="position 8"):
+            parse_code_spec("C(6,[1,2")

@@ -296,6 +296,11 @@ def test_decode_rows_round_trip_within_row_budgets():
         assert report.grid == reference
         assert report.residual == ()
         assert grid.erasure_count() == sum(counts)  # input untouched
+        # the pass behind it corrects the grid it is handed, in place
+        handed = grid.copy()
+        inner = code._decode_rows(handed)
+        assert inner.grid is handed and handed == reference
+        assert inner.corrected_rows == report.corrected_rows
 
 
 def test_decode_rows_reaches_past_single_row_budgets():
