@@ -53,15 +53,20 @@ def iterative_decode(code: EiiCode, grid: SymbolGrid) -> DecodeReport:
     A pass is one directional decode: EiiCode.decode_rows of the code
     itself, or of the transposed code on the transposed grid, whose
     result is transposed back.  Rows always go first.  The loop stops
-    when the grid is clean or when a full row-plus-column cycle removes
-    no erasure.  Only the final report reaches the caller, and it
-    counts only the passes that removed at least one erasure.
+    when the grid is clean or at the first pass after the first that
+    corrects no line.  That pass changed nothing, so the next one would
+    repeat the pass before it on what that pass left, and it would fail
+    again on the same lines: their words are unchanged, and the peel
+    again tries each against the others with the same combination sums
+    and the same isolation coefficients, since Q(z) does not depend on
+    the order of the pending lines.  Only the final report reaches the
+    caller, and it counts only the passes that removed an erasure.
     """
     code.check_shape(grid)
     work = grid
     dirty = grid._dirty_rows()
-    passes = attempts = stalled = 0
-    while not work.is_clean() and stalled < 2:
+    passes = attempts = 0
+    while not work.is_clean():
         if attempts % 2:
             rep = transpose_code(code)._decode_rows(work.transpose())
             work = rep.grid.transpose()
@@ -73,7 +78,8 @@ def iterative_decode(code: EiiCode, grid: SymbolGrid) -> DecodeReport:
             work = rep.grid
         attempts += 1
         passes += rep.passes
-        stalled = 0 if rep.passes else stalled + 1
+        if attempts > 1 and not rep.passes:
+            break
     if work is grid:
         work = grid.copy()  # no pass ran; the report owns its grid
     return DecodeReport.of(work, [r for r in dirty if not any(work.mask[r])],

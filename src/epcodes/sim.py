@@ -4,9 +4,10 @@ Erasure recovery for a linear code depends only on which cells are
 erased, never on the symbol values, so everything here works on
 coordinate patterns alone.  That keeps hundred-thousand-trial runs
 cheap: a trial is a random ordering of the grid cells, drawn only as
-far as the trial reads it.  Both drivers ask one question of it (see
-_cutoff): how long is the first prefix the model cannot clear?
-Per-line erasure counts answer that in O(1) per cell (see _caps); only
+far as the trial reads it, and both drivers ask one question of it: how
+long is the first prefix the model cannot clear?  One loop, _cutoffs,
+answers it for every trial of a run.  It draws each cell inline and
+moves per-line erasure counts in O(1) per cell (see _count_rules); only
 the iterative model then evaluates the full correctability predicate,
 from the prefix that both count rules reject.
 
@@ -30,8 +31,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from itertools import islice, tee
+from functools import lru_cache
 from math import fsum, sqrt
 
 from .eii import EiiCode, row_correctable
@@ -169,24 +169,34 @@ def _step(profile, bits: int, lines) -> int:
 
 
 def _clears(model: DecoderModel, bits: int, m: int, n: int) -> bool:
+    """Whether the model clears the pattern `bits` on the m x n grid.
+
+    The iterative model alternates row and column steps, rows first,
+    and gives up at the first step after the first that removes
+    nothing.  That step changed nothing, so the next one would repeat
+    the step before it on what that step left, and a step leaves
+    nothing its own direction can still clear: the lines it cleared
+    now count 0 and sort first, the lines it kept keep their counts and
+    their stable order behind them, so the same count overshoots at
+    the same sorted position.
+    """
     rows, cols = _line_masks(m, n)
     if model.kind == IDEAL_LRC:
         residual = sum(k for k in _counts(bits, rows) if k > model.h_local)
         return residual <= model.d_global
     if model.kind == ROWS_ONLY:
         return not _step(model.code.profile, bits, rows)
-    if model.kind == COLS_ONLY:
-        return not _step(transpose_code(model.code).profile, bits, cols)
-    # Alternate row and column steps until the grid empties or a full
-    # cycle removes nothing.
     tprofile = transpose_code(model.code).profile
+    if model.kind == COLS_ONLY:
+        return not _step(tprofile, bits, cols)
+    steps = ((model.code.profile, rows), (tprofile, cols))
+    bits, turn = _step(model.code.profile, bits, rows), 1
     while bits:
-        before = bits
-        bits = _step(model.code.profile, bits, rows)
-        if bits:
-            bits = _step(tprofile, bits, cols)
-            if bits == before:
-                return False
+        profile, lines = steps[turn]
+        left = _step(profile, bits, lines)
+        if left == bits:
+            return False
+        bits, turn = left, 1 - turn
     return True
 
 
@@ -201,46 +211,6 @@ def _substream(seed: int, trial: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
-
-
-def _trial_rng(seed: int, trial: int) -> random.Random:
-    """A stdlib generator on trial `trial`'s substream."""
-    return random.Random(_substream(seed, trial))
-
-
-def _draw(rng: random.Random, total: int):
-    """The cells of a Fisher-Yates shuffle of range(total), in order.
-
-    The shuffle swaps only as far as it is read.  Its swap index is
-    randrange(i, total) written out over getrandbits as CPython's
-    _randbelow draws it, so the cells depend only on the generator's
-    Mersenne Twister bits, the same however far a caller reads."""
-    getrandbits = rng.getrandbits
-    pool = list(range(total))
-    for i in range(total):
-        n = total - i
-        k = n.bit_length()
-        r = getrandbits(k)
-        while r >= n:
-            r = getrandbits(k)
-        j = i + r
-        cell = pool[j]
-        pool[j] = pool[i]  # no later step reads pool[i]
-        yield cell
-
-
-def _trials(seed: int, trials: int, total: int):
-    """Each trial's draw, trial by trial.
-
-    One generator serves every trial: it is reseeded with the trial's
-    substream through the base class, the call random.Random.seed makes
-    for an int, so its bits are those of _trial_rng(seed, trial).  A
-    draw must therefore be read before the next one is taken."""
-    rng = random.Random()
-    reseed = super(random.Random, rng).seed
-    for t in range(trials):
-        reseed(_substream(seed, t))
-        yield _draw(rng, total)
 
 
 def _summary(samples, seed: int, histogram=None) -> SimResult:
@@ -261,6 +231,7 @@ def _line_ids(m: int, n: int) -> tuple[tuple, tuple]:
             tuple(c % n for c in range(m * n)))
 
 
+@lru_cache(maxsize=64)
 def _caps(profile) -> tuple:
     """cap[v] = #{profile entries >= v} for v = 0..n.
 
@@ -274,59 +245,55 @@ def _caps(profile) -> tuple:
                  for v in range(profile.n + 1))
 
 
-def _count_cutoff(by_rows, by_cols, cells) -> int | None:
-    """The length of the first prefix of cells that both count rules
-    (the line of every cell, the number of lines, caps) reject, or None.
-    A rule given as None counts as rejected from the start."""
-    rows, m, rcaps = by_rows or ((), 0, ())
-    cols, n, ccaps = by_cols or ((), 0, ())
-    rcount, ccount = [0] * m, [0] * n
-    rroom, croom = list(rcaps), list(ccaps)
-    rows_ok, cols_ok = by_rows is not None, by_cols is not None
-    for k, cell in enumerate(cells, 1):
-        if rows_ok:
-            line = rows[cell]
-            v = rcount[line] = rcount[line] + 1
-            rroom[v] -= 1
-            rows_ok = rroom[v] >= 0
-        if cols_ok:
-            line = cols[cell]
-            v = ccount[line] = ccount[line] + 1
-            croom[v] -= 1
-            cols_ok = croom[v] >= 0
-        if not (rows_ok or cols_ok):
-            return k
-    return None
+def _count_rules(model: DecoderModel, m: int, n: int) -> tuple:
+    """The model's count rule over rows and over columns, each as (the
+    line of every cell, (slot, cost) per line count v, room), or None
+    where the model has no rule in that direction.
+
+    A cell that raises its line's count to v takes cost from
+    room[slot], and the rule rejects a prefix once a slot runs below 0.
+    A code's rule has one slot per count, holding cap[v] (see _caps),
+    at cost 1.  The LRC rule has the one slot d_global: a group pays v
+    when it first reaches v = h_local + 1 erasures, which turn
+    residual, and 1 for each one after."""
+    rows, cols = _line_ids(m, n)
+    if model.kind == IDEAL_LRC:
+        over = model.h_local + 1
+        costs = [0] * over + [over] + [1] * (n - over)
+        return (rows, [(0, cost) for cost in costs], (model.d_global,)), None
+
+    def caps_rule(lines, profile):
+        return lines, [(v, 1) for v in range(profile.n + 1)], _caps(profile)
+    tprofile = transpose_code(model.code).profile
+    return (None if model.kind == COLS_ONLY
+            else caps_rule(rows, model.code.profile),
+            None if model.kind == ROWS_ONLY else caps_rule(cols, tprofile))
 
 
-def _lrc_cutoff(model: DecoderModel, groups: int, group_of, cells):
-    """The same for the LRC residual, which a cell raises by v when its
-    group first reaches v = h_local + 1 erasures, and by one after."""
-    counts = [0] * groups
-    over, budget = model.h_local + 1, model.d_global
-    for k, cell in enumerate(cells, 1):
-        g = group_of[cell]
-        v = counts[g] = counts[g] + 1
-        if v >= over:
-            budget -= v if v == over else 1
-            if budget < 0:
-                return k
-    return None
+def _cutoffs(model: DecoderModel, m: int, n: int, seed: int, trials: int,
+             limit: int) -> list:
+    """Per trial, the length of the first prefix of its cell ordering
+    that the model cannot clear, or None if the first `limit` cells
+    clear.
 
+    Trial t orders the cells by a Fisher-Yates shuffle of range(mn) on
+    a generator seeded with _substream(seed, t), drawn only as far as
+    the trial reads it.  Its swap index is randrange(i, mn) written out
+    over getrandbits as CPython's _randbelow draws it, so the cells
+    depend only on the Mersenne Twister bits, the same however far a
+    trial reads.  One generator serves every trial, reseeded through
+    the base class: the call random.Random.seed makes for an int.
 
-def _cutoff(model: DecoderModel, m: int, n: int):
-    """The model's cutoff(cells): the length of the first prefix of
-    cells that the model cannot clear, or None if every prefix clears.
-
-    Rows-only, cols-only and the LRC stop at the first prefix their
-    count rule rejects.  The iterative model walks both count rules to
-    the first prefix both reject, as the peel clears whatever either
+    Each drawn cell advances the model's count rules (_count_rules) in
+    O(1).  Rows-only, cols-only and the LRC stop at the first prefix
+    their rule rejects.  The iterative model walks both rules to the
+    first prefix both reject, as the peel clears whatever either
     direction alone clears, and from that floor asks _clears.
 
-    Every model clears each subset of a pattern it clears, so the cutoff
-    of a pattern's cells is None exactly when the pattern clears.  For
-    the count rules that is immediate.  For the peel, let counts fall
-    line by line and take a line row_correctable recovered at sorted
+    Every model clears each subset of a pattern it clears, so a trial's
+    cutoff is None exactly when its first `limit` cells clear.  For the
+    count rules that is immediate.  For the peel, let counts fall line
+    by line and take a line row_correctable recovered at sorted
     position p.  Below p the j-th smallest count does not rise, so it
     still fits; from p to the line's new rank each count is at most the
     line's old one, which fit the budget at p and every later budget.
@@ -335,28 +302,59 @@ def _cutoff(model: DecoderModel, m: int, n: int):
     stuck at a nonempty residual, that residual would stay inside every
     later residual of the larger, which would never empty either.
     """
-    rows, cols = _line_ids(m, n)
-    if model.kind == IDEAL_LRC:
-        return partial(_lrc_cutoff, model, m, rows)
-    by_rows = (rows, m, _caps(model.code.profile))
-    by_cols = (cols, n, _caps(transpose_code(model.code).profile))
-    if model.kind == ROWS_ONLY:
-        return partial(_count_cutoff, by_rows, None)
-    if model.kind == COLS_ONLY:
-        return partial(_count_cutoff, None, by_cols)
-
-    def cutoff(cells):
-        walked, kept = tee(cells)
-        floor = _count_cutoff(by_rows, by_cols, walked)
-        if floor is None:
-            return None
-        bits = _bits(islice(kept, floor - 1))
-        for k, cell in enumerate(kept, floor):
-            bits |= 1 << cell
-            if not _clears(model, bits, m, n):
-                return k
-        return None
-    return cutoff
+    total = m * n
+    by_rows, by_cols = _count_rules(model, m, n)
+    rlines, rtable, rroom0 = by_rows or ((), (), ())
+    clines, ctable, croom0 = by_cols or ((), (), ())
+    rlive, clive = by_rows is not None, by_cols is not None
+    probe = model.kind == ITERATIVE
+    cells, powers = list(range(total)), [1 << c for c in range(total)]
+    draws = [(i, total - i, (total - i).bit_length()) for i in range(limit)]
+    # every trial reseeds the generator, so it is made unseeded: Random()
+    # would first read OS entropy
+    rng = random.Random.__new__(random.Random)
+    reseed, getrandbits = super(random.Random, rng).seed, rng.getrandbits
+    cuts = []
+    for t in range(trials):
+        reseed(_substream(seed, t))
+        pool = cells[:]
+        rcount, ccount = [0] * m, [0] * n
+        rroom, croom = list(rroom0), list(croom0)
+        rows_ok, cols_ok = rlive, clive
+        cut, bits = None, 0
+        for i, left, k in draws:
+            r = getrandbits(k)
+            while r >= left:
+                r = getrandbits(k)
+            j = i + r
+            cell = pool[j]
+            pool[j] = pool[i]
+            pool[i] = cell  # the drawn prefix is pool[:i + 1]
+            if rows_ok:
+                line = rlines[cell]
+                v = rcount[line] = rcount[line] + 1
+                slot, cost = rtable[v]
+                rroom[slot] -= cost
+                rows_ok = rroom[slot] >= 0
+            if cols_ok:
+                line = clines[cell]
+                v = ccount[line] = ccount[line] + 1
+                slot, cost = ctable[v]
+                croom[slot] -= cost
+                cols_ok = croom[slot] >= 0
+            if rows_ok or cols_ok:
+                continue
+            if probe:
+                # the drawn cells are distinct, so their powers sum to
+                # their pattern
+                bits = (bits | powers[cell] if bits
+                        else sum(map(powers.__getitem__, pool[:i + 1])))
+                if _clears(model, bits, m, n):
+                    continue
+            cut = i + 1
+            break
+        cuts.append(cut)
+    return cuts
 
 
 def mean_erasures_to_failure(model: DecoderModel, shape=None,
@@ -366,9 +364,9 @@ def mean_erasures_to_failure(model: DecoderModel, shape=None,
     first becomes uncorrectable.
 
     Each trial orders the mn cells at random and reports the 1-based
-    length of the shortest uncorrectable prefix (see _cutoff), or
+    length of the shortest uncorrectable prefix (see _cutoffs), or
     mn + 1 when even the whole grid is correctable.  The ordering is
-    drawn only as far as the cutoff reads it; the draws are pinned to
+    drawn only as far as the trial reads it; the draws are pinned to
     the trial generator's getrandbits, so a seed gives the same
     orderings on every run.  The histogram maps that length to its
     trial count.
@@ -376,8 +374,8 @@ def mean_erasures_to_failure(model: DecoderModel, shape=None,
     if trials < 1:
         raise ValueError("need at least one trial")
     m, n = model.grid_shape(shape)
-    cutoff = _cutoff(model, m, n)
-    cuts = [cutoff(draw) or m * n + 1 for draw in _trials(seed, trials, m * n)]
+    cuts = [cut or m * n + 1
+            for cut in _cutoffs(model, m, n, seed, trials, m * n)]
     return _summary(cuts, seed, dict(Counter(cuts)))
 
 
@@ -386,18 +384,15 @@ def correction_probability(model: DecoderModel, num_erasures: int,
                            seed: int = 0) -> SimResult:
     """Fraction of uniformly random num_erasures-cell patterns the
     model corrects: the first num_erasures cells of each trial's
-    ordering, corrected when no prefix of them fails (see _cutoff)."""
+    ordering, corrected when no prefix of them fails (see _cutoffs)."""
     if trials < 1:
         raise ValueError("need at least one trial")
     m, n = model.grid_shape(shape)
-    total = m * n
-    if not 0 <= num_erasures <= total:
+    if not 0 <= num_erasures <= m * n:
         raise ValueError("num_erasures %d outside 0..%d"
-                         % (num_erasures, total))
-    cutoff = _cutoff(model, m, n)
-    samples = [1.0 if cutoff(islice(draw, num_erasures)) is None else 0.0
-               for draw in _trials(seed, trials, total)]
-    return _summary(samples, seed)
+                         % (num_erasures, m * n))
+    cuts = _cutoffs(model, m, n, seed, trials, num_erasures)
+    return _summary([0.0 if cut else 1.0 for cut in cuts], seed)
 
 
 def birthday_expected(m: int) -> float:

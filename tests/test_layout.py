@@ -108,7 +108,10 @@ def test_iterative_clears_patterns_rows_alone_cannot():
 def _iterative_by_passes(code, grid):
     """iterative_decode as a report per pass: copy the grid, then
     alternate decode_rows of the code and of the column code on the
-    transpose, each column pass reported in the grid's orientation."""
+    transpose, each column pass reported in the grid's orientation,
+    until the grid is clean or two passes in a row correct nothing,
+    one pass later than iterative_decode stops.  Returns the report and
+    the number of passes run."""
     work = grid.copy()
     dirty = [r for r in range(code.m) if any(work.mask[r])]
     passes = attempts = stalled = 0
@@ -124,7 +127,12 @@ def _iterative_by_passes(code, grid):
         passes += rep.passes
         stalled = 0 if rep.passes else stalled + 1
     return DecodeReport.of(work, [r for r in dirty if not any(work.mask[r])],
-                           passes)
+                           passes), attempts
+
+
+def _summary(report):
+    return (report.grid, report.status, report.corrected_rows,
+            report.residual, report.passes)
 
 
 @pytest.mark.parametrize("draw", [0, 1, 2, 3])
@@ -146,17 +154,65 @@ def test_iterative_report_matches_a_report_per_pass(draw):
             grid.erase(r, c)
         before = grid.copy()
         got = iterative_decode(code, grid)
-        want = _iterative_by_passes(code, grid)
+        want, _ = _iterative_by_passes(code, grid)
         assert grid == before  # the input is left alone
         assert got.grid is not grid
-        assert (got.grid, got.status, got.corrected_rows, got.residual,
-                got.passes) == (want.grid, want.status, want.corrected_rows,
-                                want.residual, want.passes)
+        assert _summary(got) == _summary(want)
         statuses.add(got.status)
         passes.add(got.passes)
     assert statuses == {"FullyCorrected", "PartiallyCorrected", "Failed"}
     # some decode uses two passes or more
     assert max(passes) >= 2
+
+
+BIG = build_eii(default_field(8), 32, (4,) * 14 + (8, 32))
+SMALL = build_eii(GF8, 4, (1, 1, 2, 4))
+
+
+def _erased_16x32(rng):
+    """A codeword of the 16 x 32 GF(2^8) code with 60-120 cells erased."""
+    grid = BIG.encode([rng.randrange(256) for _ in range(BIG.dimension())])
+    cells = [(r, c) for r in range(BIG.m) for c in range(BIG.n)]
+    for r, c in rng.sample(cells, rng.randint(60, 120)):
+        grid.cells[r][c] = rng.randrange(256)
+        grid.erase(r, c)
+    return BIG, grid
+
+
+def _known_error_4x4(rng):
+    """A codeword of C(4,[1,1,2,4]) over GF(8) with 4-10 cells erased and
+    an error in one cell left known."""
+    grid = SMALL.encode([rng.randrange(8) for _ in range(SMALL.dimension())])
+    cells = [(r, c) for r in range(SMALL.m) for c in range(SMALL.n)]
+    lost = rng.sample(cells, rng.randint(4, 10))
+    for r, c in lost:
+        grid.erase(r, c)
+    r, c = rng.choice([cell for cell in cells if cell not in lost])
+    grid.cells[r][c] ^= rng.randrange(1, 8)
+    return SMALL, grid
+
+
+@pytest.mark.parametrize("make", [_erased_16x32, _known_error_4x4],
+                         ids=["erased-16x32", "known-error-4x4"])
+def test_a_stalled_decode_stops_one_pass_sooner(make, monkeypatch):
+    # the same report as under the two-idle-pass rule, and one pass
+    # fewer on every decode that stalls after some progress; a Failed
+    # decode stops after its two idle passes under either rule
+    ran = []
+    inner = EiiCode._decode_rows
+    monkeypatch.setattr(EiiCode, "_decode_rows",
+                        lambda self, g: ran.append(self) or inner(self, g))
+    rng = random.Random(41)
+    saved = 0
+    for _ in range(60):
+        code, grid = make(rng)
+        want, attempts = _iterative_by_passes(code, grid)
+        del ran[:]
+        assert _summary(iterative_decode(code, grid)) == _summary(want)
+        stalled = want.status == "PartiallyCorrected"
+        assert len(ran) == attempts - stalled
+        saved += stalled
+    assert saved >= 5
 
 
 def test_hopeless_pattern_reports_failed():

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from functools import partial
-from itertools import combinations_with_replacement, islice, product
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from epcodes import sim
 from epcodes.eii import (FULLY_CORRECTED, build_eii, make_profile,
                          row_correctable)
 from epcodes.gf import build_aop_field, build_field, default_field
@@ -24,13 +26,10 @@ from epcodes.sim import (
     _bits,
     _caps,
     _clears,
-    _count_cutoff,
-    _cutoff,
-    _draw,
-    _line_ids,
-    _lrc_cutoff,
-    _trial_rng,
-    _trials,
+    _cutoffs,
+    _line_masks,
+    _step,
+    _substream,
 )
 
 GF8 = default_field(3)
@@ -218,31 +217,15 @@ def test_correction_probability_boundaries_and_monotonicity():
 
 
 def _reference_permutation(seed, trial, total):
-    """The draw as a plain Fisher-Yates shuffle over randrange, kept as
-    the reference the drivers' lazy draw must reproduce."""
-    rng = _trial_rng(seed, trial)
+    """The draw as a plain Fisher-Yates shuffle over randrange on the
+    trial's substream, kept as the reference the drivers' inline draw
+    must reproduce."""
+    rng = random.Random(_substream(seed, trial))
     pool = list(range(total))
     for i in range(total):
         j = rng.randrange(i, total)
         pool[i], pool[j] = pool[j], pool[i]
     return pool
-
-
-@pytest.mark.parametrize("total", [1, 2, 35, 64, 100])
-def test_lazy_draw_matches_randrange_fisher_yates(total):
-    # 40 (seed, trial) pairs per size, every prefix read afresh; total
-    # = 1 and the last step of every full shuffle draw below 1
-    for seed in (0, 11, 21, 2**62 + 5):
-        refs = [_reference_permutation(seed, trial, total)
-                for trial in range(10)]
-        for trial, ref in enumerate(refs):
-            assert list(_draw(_trial_rng(seed, trial), total)) == ref
-            for k in range(total + 1):
-                draw = _draw(_trial_rng(seed, trial), total)
-                assert list(islice(draw, k)) == ref[:k]
-        # the drivers' one reseeded generator gives every trial the
-        # same draw as a fresh generator on its substream
-        assert [list(draw) for draw in _trials(seed, 10, total)] == refs
 
 
 # Literal SimResults under one seed: both drivers must reproduce them
@@ -286,12 +269,22 @@ def _scan_cutoff(model, perm, shape=None):
                 m * n + 1)
 
 
-def _count_rules(code):
-    """The row rule and the column rule of the code, as the count walk
-    takes them."""
-    rows, cols = _line_ids(code.m, code.n)
-    return ((rows, code.m, _caps(code.profile)),
-            (cols, code.n, _caps(transpose_code(code).profile)))
+def _cutoffs_at_every_limit(model, shape, seed, trials):
+    """Check _cutoffs at every limit 0..mn against a plain scan of each
+    trial's reference permutation, and return the scanned cutoffs."""
+    m, n = model.grid_shape(shape)
+    want = [_scan_cutoff(model, _reference_permutation(seed, t, m * n), shape)
+            for t in range(trials)]
+    for limit in range(m * n + 1):
+        got = _cutoffs(model, m, n, seed, trials, limit)
+        assert got == [c if c <= limit else None for c in want], limit
+    return want
+
+
+def _count_floor(code, perm):
+    """The first prefix of perm that both count-only models reject."""
+    return max(_scan_cutoff(DecoderModel.rows_only(code), perm),
+               _scan_cutoff(DecoderModel.cols_only(code), perm))
 
 
 CODE_8X8 = build_eii(default_field(4), 8, (2, 3, 3, 4, 4, 5, 5, 6))
@@ -302,24 +295,53 @@ SCANNED = [p[:2] for p in PINNED] + [(DecoderModel.iterative(CODE_8X8), None)]
                          ids=[p[0].kind for p in PINNED] + ["Iterative8x8"])
 def test_cutoffs_match_a_linear_scan(model, shape):
     # every trial's first uncorrectable prefix, found by a plain scan of
-    # the reference permutation; for the iterative model the prefix both
-    # count-only models reject is a floor under it, found by both rules
+    # the reference permutation, at every limit; for the iterative model
+    # the prefix both count-only models reject is a floor under it
     m, n = model.grid_shape(shape)
-    cut = _cutoff(model, m, n)
-    histogram = {}
-    for t in range(200):
-        perm = _reference_permutation(21, t, m * n)
-        cutoff = _scan_cutoff(model, perm, shape)
-        histogram[cutoff] = histogram.get(cutoff, 0) + 1
-        assert (cut(iter(perm)) or m * n + 1) == cutoff
-        if model.kind == "Iterative":
-            floor = max(_scan_cutoff(DecoderModel.rows_only(model.code), perm),
-                        _scan_cutoff(DecoderModel.cols_only(model.code), perm))
-            assert cutoff >= floor
-            got = _count_cutoff(*_count_rules(model.code), iter(perm))
-            assert (got or m * n + 1) == floor
+    want = _cutoffs_at_every_limit(model, shape, 21, 200)
+    if model.kind == "Iterative":
+        for t, cutoff in enumerate(want):
+            perm = _reference_permutation(21, t, m * n)
+            assert cutoff >= _count_floor(model.code, perm)
     res = mean_erasures_to_failure(model, shape, trials=200, seed=21)
-    assert res.histogram == histogram
+    assert res.histogram == dict(Counter(want))
+
+
+DRAWN = {1: build_eii(GF8, 1, (0,)),
+         2: build_eii(GF8, 1, (0, 1)),
+         35: build_eii(GF8, 7, (1, 2, 3, 6, 6)),
+         64: CODE_8X8,
+         100: build_eii(default_field(4), 10, tuple(range(1, 11)))}
+
+
+@pytest.mark.parametrize("total", sorted(DRAWN))
+def test_lazy_draw_matches_randrange_fisher_yates(total):
+    # 40 (seed, trial) pairs per size, read to every limit through the
+    # rows-only and the cols-only walk; total = 1 and the last step of
+    # every full shuffle draw below 1.  On one or two cells every order
+    # has the same cutoffs, so those sizes check only the walk's ends
+    code = DRAWN[total]
+    for seed in (0, 11, 21, 2**62 + 5):
+        for model in (DecoderModel.rows_only(code),
+                      DecoderModel.cols_only(code)):
+            _cutoffs_at_every_limit(model, None, seed, 10)
+
+
+def test_the_iterative_probe_starts_at_the_count_floor(monkeypatch):
+    # _clears is asked once per prefix from the first one both count
+    # rules reject up to the cutoff, and about no shorter one
+    model = DecoderModel.iterative(CODE)
+    m, n = CODE.m, CODE.n
+    want = []
+    for t in range(100):
+        perm = _reference_permutation(3, t, m * n)
+        cutoff = min(_scan_cutoff(model, perm), m * n)
+        want += range(_count_floor(CODE, perm), cutoff + 1)
+    asked, clears = [], sim._clears
+    monkeypatch.setattr(sim, "_clears", lambda model, bits, m, n: (
+        asked.append(bits.bit_count()) or clears(model, bits, m, n)))
+    _cutoffs(model, m, n, 3, 100, m * n)
+    assert asked == want
 
 
 @pytest.mark.parametrize("entries,n", [
@@ -330,34 +352,68 @@ def test_cutoffs_match_a_linear_scan(model, shape):
 ], ids=["1125", "zeros", "transposed-5x7", "all-parity"])
 def test_count_rule_agrees_with_row_correctable(entries, n):
     # sorted counts sit under the sorted budgets exactly when no count
-    # threshold v holds more lines than budgets reach v; the walk that
-    # keeps those numbers one cell at a time gives the same verdict on
-    # every count vector (every sorted one for the seven-line profile)
+    # threshold v holds more lines than budgets reach v, on every count
+    # vector (every sorted one for the seven-line profile); the walk
+    # that keeps those numbers one cell at a time finds the first
+    # prefix a plain scan rejects, in either direction
     profile = make_profile(entries, n)
     m = profile.m
     caps = _caps(profile)
-    rows, _ = _line_ids(m, n)
     vectors = (product(range(n + 1), repeat=m) if (n + 1) ** m <= 5000
                else combinations_with_replacement(range(n + 1), m))
     for counts in vectors:
         ok = row_correctable(profile, counts)[0]
         assert ok == all(sum(c >= v for c in counts) <= caps[v]
                          for v in range(1, n + 1)), counts
-        cells = [r * n + c for r, k in enumerate(counts) for c in range(k)]
-        assert ok == (_count_cutoff((rows, m, caps), None, cells) is None)
+    code = build_eii(GF8, n, entries)
+    for model in (DecoderModel.rows_only(code), DecoderModel.cols_only(code)):
+        _cutoffs_at_every_limit(model, None, 13, 40)
 
 
 @pytest.mark.parametrize("h_local,d_global", [(0, 1), (1, 3), (2, 23), (3, 7)])
 def test_lrc_residual_walk_matches_clears(h_local, d_global):
     # the residual the walk keeps in O(1) per cell rejects exactly the
-    # first prefix _clears rejects, on every prefix of seeded draws
-    model = DecoderModel.ideal_lrc(8, h_local, d_global)
-    rows, _ = _line_ids(8, 8)
-    for t in range(60):
-        perm = _reference_permutation(11, t, 64)
-        want = next((k for k in range(1, 65)
-                     if not _clears(model, _bits(perm[:k]), 8, 8)), 65)
-        assert (_lrc_cutoff(model, 8, rows, iter(perm)) or 65) == want
+    # first prefix _clears rejects, at every limit of seeded draws
+    _cutoffs_at_every_limit(DecoderModel.ideal_lrc(8, h_local, d_global),
+                            (8, 8), 11, 60)
+
+
+def _clears_after_an_idle_cycle(model, bits, m, n):
+    """The iterative _clears with a later stop: alternate row and column
+    steps until the grid empties or a whole row-plus-column cycle
+    removes nothing."""
+    rows, cols = _line_masks(m, n)
+    tprofile = transpose_code(model.code).profile
+    while bits:
+        before = bits
+        bits = _step(model.code.profile, bits, rows)
+        if bits:
+            bits = _step(tprofile, bits, cols)
+            if bits == before:
+                return False
+    return True
+
+
+def test_the_peel_stops_at_its_first_idle_step_on_every_4x4_pattern():
+    model = DecoderModel.iterative(build_eii(GF8, 4, (1, 1, 2, 4)))
+    got = [_clears(model, bits, 4, 4) for bits in range(1 << 16)]
+    assert got == [_clears_after_an_idle_cycle(model, bits, 4, 4)
+                   for bits in range(1 << 16)]
+
+
+@pytest.mark.parametrize("code", [build_eii(GF8, 7, (1, 2, 3, 6, 6)),
+                                  CODE_8X8], ids=["5x7", "8x8"])
+def test_the_peel_stops_at_its_first_idle_step_on_count_floors(code):
+    # the patterns the iterative cutoff probes first: 2,000 seeded
+    # prefixes that both count rules reject
+    m, n = code.m, code.n
+    model = DecoderModel.iterative(code)
+    rows = _cutoffs(DecoderModel.rows_only(code), m, n, 5, 2000, m * n)
+    cols = _cutoffs(DecoderModel.cols_only(code), m, n, 5, 2000, m * n)
+    for t, floor in enumerate(map(max, rows, cols)):
+        bits = _bits(_reference_permutation(5, t, m * n)[:floor])
+        assert (_clears(model, bits, m, n)
+                == _clears_after_an_idle_cycle(model, bits, m, n)), t
 
 
 MONOTONE_CODES = [
@@ -397,9 +453,9 @@ def test_probability_matches_the_oracle_on_the_first_k_cells(model, shape):
     # the per-trial reference: ask _clears about the first k cells of
     # each trial's draw, on the seed correction_probability gets
     m, n = model.grid_shape(shape)
+    perms = [_reference_permutation(17, t, m * n) for t in range(150)]
     for k in range(m * n + 1):
-        count = sum(_clears(model, _bits(islice(draw, k)), m, n)
-                    for draw in _trials(17, 150, m * n))
+        count = sum(_clears(model, _bits(perm[:k]), m, n) for perm in perms)
         res = correction_probability(model, k, shape, trials=150, seed=17)
         assert res.mean == count / 150, k
 
